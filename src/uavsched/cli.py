@@ -137,7 +137,7 @@ def cmd_experiment(args) -> int:
         result = exp.run_experiment(config, progress=completed.append)
     except KeyboardInterrupt:
         try:
-            Path(csv_path).write_text("# incomplete\n" + exp.csv_text(completed), encoding="ascii")
+            Path(csv_path).write_text(exp.INCOMPLETE_MARKER + exp.csv_text(completed), encoding="ascii")
         except OSError:
             pass
         print(f"interrupted; {len(completed)} completed cells flushed as incomplete", file=sys.stderr)

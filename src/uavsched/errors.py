@@ -1,5 +1,7 @@
 """Exception types raised across the package."""
 
+from contextlib import contextmanager
+
 
 class UavschedError(Exception):
     """Base class for all package-specific errors."""
@@ -55,3 +57,14 @@ class TooFewSamples(UavschedError):
 
 class ConfigInvalid(UavschedError):
     """An experiment configuration is malformed."""
+
+
+@contextmanager
+def schema_errors(where: str):
+    """Report a missing key or a value of the wrong type in a JSON document as ValueError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{where}: value of the wrong type ({exc})") from exc

@@ -34,6 +34,9 @@ METHODS = ("exact_dp", "heuristic", "random")
 
 CSV_COLUMNS = ("m", "n_f", "method", "k", "mean_energy_j", "se_j", "ci_lo_j", "ci_hi_j", "mean_runtime_s")
 
+# first line of a CSV flushed by an interrupted run; read_csv skips it
+INCOMPLETE_MARKER = "# incomplete\n"
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -240,12 +243,15 @@ def write_csv(result: McmcResult, destination) -> str:
 
 
 def read_csv(source) -> tuple[CellStats, ...]:
-    """Parse a results CSV back into cells (samples are not stored in CSV)."""
+    """Parse a results CSV back into cells (samples are not stored in CSV).
+
+    A CSV flushed by an interrupted run reads as the cells it completed.
+    """
     try:
         text = Path(source).read_text(encoding="ascii")
     except OSError as exc:
         raise IoFailure(f"could not read CSV {source}: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(text.removeprefix(INCOMPLETE_MARKER)))
     if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
         raise ValueError(f"CSV columns must be {','.join(CSV_COLUMNS)}")
     cells = []

@@ -17,6 +17,7 @@ from .errors import (
     EndpointRetired,
     InvalidInstance,
     InvalidSchedule,
+    schema_errors,
 )
 
 
@@ -365,11 +366,12 @@ def instance_from_json(data: dict) -> ReplacementInstance:
     timings_obj = data.get("timings", {})
     if not isinstance(timings_obj, dict):
         raise ValueError("'timings' must be an object")
-    timings = RuleTimings.from_milliseconds(
-        float(timings_obj.get("tau_del_ms", 5.0)),
-        float(timings_obj.get("tau_ins_ms", 5.0)),
-        float(timings_obj.get("tau_mod_ms", 10.0)),
-    )
+    with schema_errors("'timings'"):
+        timings = RuleTimings.from_milliseconds(
+            float(timings_obj.get("tau_del_ms", 5.0)),
+            float(timings_obj.get("tau_ins_ms", 5.0)),
+            float(timings_obj.get("tau_mod_ms", 10.0)),
+        )
     raw_flows = data.get("flows")
     raw_uavs = data.get("uavs")
     if not isinstance(raw_flows, list) or not isinstance(raw_uavs, list):
@@ -381,16 +383,18 @@ def instance_from_json(data: dict) -> ReplacementInstance:
     for position, entry in enumerate(raw_flows):
         if not isinstance(entry, dict):
             raise ValueError(f"flow #{position} must be an object")
-        fid = int(entry.get("id", position))
-        delta = entry.get("delta")
-        if not isinstance(delta, list) or not delta:
-            raise ValueError(f"flow {fid}: 'delta' must be a non-empty list of UAV ids")
-        counts = None
-        if "rule_counts" in entry:
-            rc = entry["rule_counts"]
-            counts = RuleCounts(int(rc["r_del"]), int(rc["r_ins"]), int(rc["r_mod"]))
-        if "t_ms" in entry:
-            t = float(entry["t_ms"]) / 1000.0
+        with schema_errors(f"flow #{position}"):
+            fid = int(entry.get("id", position))
+            delta = entry.get("delta")
+            if not isinstance(delta, list) or not delta:
+                raise ValueError(f"flow {fid}: 'delta' must be a non-empty list of UAV ids")
+            delta_set = frozenset(int(j) for j in delta)
+            counts = None
+            if "rule_counts" in entry:
+                rc = entry["rule_counts"]
+                counts = RuleCounts(int(rc["r_del"]), int(rc["r_ins"]), int(rc["r_mod"]))
+            t = float(entry["t_ms"]) / 1000.0 if "t_ms" in entry else None
+        if t is not None:
             if counts is not None:
                 expected = handover_time(counts, timings)
                 if abs(t - expected) > 1e-9 * max(1.0, abs(expected)):
@@ -399,7 +403,6 @@ def instance_from_json(data: dict) -> ReplacementInstance:
             t = handover_time(counts, timings)
         else:
             raise ValueError(f"flow {fid}: needs 't_ms' or 'rule_counts'")
-        delta_set = frozenset(int(j) for j in delta)
         for j in delta_set:
             if not 0 <= j < m:
                 raise ValueError(f"flow {fid}: delta references unknown UAV id {j}")
@@ -410,10 +413,12 @@ def instance_from_json(data: dict) -> ReplacementInstance:
     for position, entry in enumerate(raw_uavs):
         if not isinstance(entry, dict) or "p_watts" not in entry:
             raise ValueError(f"uav #{position} must be an object with 'p_watts'")
-        uid = int(entry.get("id", position))
+        with schema_errors(f"uav #{position}"):
+            uid = int(entry.get("id", position))
+            power = float(entry["p_watts"])
         if not 0 <= uid < m:
             raise ValueError(f"uav id {uid} out of range")
-        uavs.append(RetiredUav(id=uid, hover_power=float(entry["p_watts"]), flow_set=frozenset(lambdas[uid])))
+        uavs.append(RetiredUav(id=uid, hover_power=power, flow_set=frozenset(lambdas[uid])))
 
     # entries may appear in any order in the file; ids must still be dense
     flows.sort(key=lambda f: f.id)

@@ -6,12 +6,12 @@ connected when the SNR of their line-of-sight channel clears a threshold.
 Flow routes are minimum-hop paths between random non-retiring endpoints.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 import random
 
-from .errors import NonPositiveDistance, SamplingExhausted, Unreachable
+from .errors import NonPositiveDistance, SamplingExhausted, Unreachable, schema_errors
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,15 @@ class UavNetwork:
     def has_link(self, u: int, v: int) -> bool:
         return v in self.links[u]
 
+    @cached_property
+    def _route_table(self) -> dict[int, dict[int, tuple[int, ...]]]:
+        """Routes filled in by shortest_route: source -> destination -> route.
+
+        Kept in the instance dict rather than as a field, so equality,
+        hashing, repr and serialization see the network alone.
+        """
+        return {}
+
 
 def path_loss(distance: float, radio: RadioParams) -> float:
     """Free-space path loss in dB over a line-of-sight link of given length."""
@@ -158,30 +167,47 @@ def generate_network(params: NetworkParams, seed: int) -> UavNetwork:
     return network_from_layout(params, positions, masses)
 
 
-def shortest_route(net: UavNetwork, src: int, dst: int) -> tuple[int, ...]:
-    """Minimum-hop route from src to dst; ties broken by smallest-id predecessor."""
-    if src == dst:
-        raise ValueError("route endpoints must differ")
+def _routes_from(net: UavNetwork, src: int) -> dict[int, tuple[int, ...]]:
+    """Minimum-hop routes from src to every UAV it reaches.
+
+    Each hop back toward src goes to the smallest-id neighbour one hop
+    closer, the rule an early-exit BFS to a single destination also applies:
+    by the time it reaches dst every node closer to src has its final
+    distance, so both pick the same predecessors.
+    """
+    if not 0 <= src < net.num_uavs:
+        raise ValueError(f"unknown source UAV {src!r}")
     dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            break
-        du = dist[u]
+    order = [src]
+    for u in order:  # BFS; order grows while it is walked
+        du = dist[u] + 1
         for v in net.links[u]:
             if v not in dist:
-                dist[v] = du + 1
-                queue.append(v)
-    if dst not in dist:
-        raise Unreachable(f"no path from {src} to {dst}")
-    path = [dst]
-    node = dst
-    while node != src:
-        node = min(v for v in net.links[node] if dist.get(v, -1) == dist[path[-1]] - 1)
-        path.append(node)
-    path.reverse()
-    return tuple(path)
+                dist[v] = du
+                order.append(v)
+    routes = {src: (src,)}
+    for v in order[1:]:
+        closer = dist[v] - 1
+        routes[v] = routes[min(u for u in net.links[v] if dist.get(u) == closer)] + (v,)
+    return routes
+
+
+def shortest_route(net: UavNetwork, src: int, dst: int) -> tuple[int, ...]:
+    """Minimum-hop route from src to dst; ties broken by smallest-id predecessor.
+
+    The first request from a source routes it to every UAV at once; the
+    routes are kept on the network, so later requests are lookups.
+    """
+    if src == dst:
+        raise ValueError("route endpoints must differ")
+    table = net._route_table
+    routes = table.get(src)
+    if routes is None:
+        routes = table[src] = _routes_from(net, src)
+    try:
+        return routes[dst]
+    except KeyError:
+        raise Unreachable(f"no path from {src} to {dst}") from None
 
 
 def sample_retired_set(net: UavNetwork, count: int, rng: random.Random) -> frozenset[int]:
@@ -253,27 +279,30 @@ def params_from_json(data: dict) -> NetworkParams:
         raise ValueError("network params must be an object")
     radio_data = data.get("radio", {})
     hover_data = data.get("hover", {})
-    radio = RadioParams(
-        carrier_freq=float(radio_data.get("carrier_freq", 3.0e9)),
-        light_speed=float(radio_data.get("light_speed", 3.0e8)),
-        tx_power=float(radio_data.get("tx_power", 1.0)),
-        noise_power=float(radio_data.get("noise_power", 1.0e-16)),
-        snr_threshold_db=float(radio_data.get("snr_threshold_db", 85.0)),
-    )
-    hover = HoverParams(
-        gravity=float(hover_data.get("gravity", 9.8)),
-        prop_radius=float(hover_data.get("prop_radius", 0.2)),
-        num_props=int(hover_data.get("num_props", 4)),
-        air_density=float(hover_data.get("air_density", 1.225)),
-    )
-    return NetworkParams(
-        num_uavs=int(data.get("num_uavs", 40)),
-        area_side=float(data.get("area_side", 150.0)),
-        common_altitude=float(data.get("common_altitude", 70.0)),
-        mass_choices=tuple(float(m) for m in data.get("mass_choices", (1.0, 2.0, 3.0, 4.0, 5.0))),
-        radio=radio,
-        hover=hover,
-    )
+    if not isinstance(radio_data, dict) or not isinstance(hover_data, dict):
+        raise ValueError("'radio' and 'hover' must be objects")
+    with schema_errors("network params"):
+        radio = RadioParams(
+            carrier_freq=float(radio_data.get("carrier_freq", 3.0e9)),
+            light_speed=float(radio_data.get("light_speed", 3.0e8)),
+            tx_power=float(radio_data.get("tx_power", 1.0)),
+            noise_power=float(radio_data.get("noise_power", 1.0e-16)),
+            snr_threshold_db=float(radio_data.get("snr_threshold_db", 85.0)),
+        )
+        hover = HoverParams(
+            gravity=float(hover_data.get("gravity", 9.8)),
+            prop_radius=float(hover_data.get("prop_radius", 0.2)),
+            num_props=int(hover_data.get("num_props", 4)),
+            air_density=float(hover_data.get("air_density", 1.225)),
+        )
+        return NetworkParams(
+            num_uavs=int(data.get("num_uavs", 40)),
+            area_side=float(data.get("area_side", 150.0)),
+            common_altitude=float(data.get("common_altitude", 70.0)),
+            mass_choices=tuple(float(m) for m in data.get("mass_choices", (1.0, 2.0, 3.0, 4.0, 5.0))),
+            radio=radio,
+            hover=hover,
+        )
 
 
 def network_to_json(params: NetworkParams, net: UavNetwork) -> dict:
@@ -294,12 +323,12 @@ def network_from_json(data: dict) -> tuple[NetworkParams, UavNetwork]:
     if not isinstance(uavs, list) or len(uavs) != params.num_uavs:
         raise ValueError("'uavs' must list exactly params.num_uavs entries")
     by_id = {}
-    for entry in uavs:
-        by_id[int(entry["id"])] = entry
+    for position, entry in enumerate(uavs):
+        with schema_errors(f"uav #{position}"):
+            by_id[int(entry["id"])] = ((float(entry["x"]), float(entry["y"])), float(entry["mass_kg"]))
     if sorted(by_id) != list(range(params.num_uavs)):
         raise ValueError("UAV ids must be dense 0..num_uavs-1")
-    positions = [(float(by_id[u]["x"]), float(by_id[u]["y"])) for u in range(params.num_uavs)]
-    masses = [float(by_id[u]["mass_kg"]) for u in range(params.num_uavs)]
+    positions, masses = zip(*(by_id[u] for u in range(params.num_uavs)))
     return params, network_from_layout(params, positions, masses)
 
 
@@ -316,10 +345,14 @@ def scenario_from_json(data: dict):
     params, net = network_from_json(data)
     if "retired" not in data or "flows" not in data:
         raise ValueError("scenario JSON needs 'retired' and 'flows'")
-    retired = frozenset(int(u) for u in data["retired"])
+    with schema_errors("'retired'"):
+        retired = frozenset(int(u) for u in data["retired"])
     if not retired <= set(range(net.num_uavs)):
         raise ValueError("'retired' references unknown UAV ids")
+    if not isinstance(data["flows"], list):
+        raise ValueError("'flows' must be a list")
     routes = []
-    for entry in data["flows"]:
-        routes.append((int(entry["id"]), tuple(int(u) for u in entry["route"])))
+    for position, entry in enumerate(data["flows"]):
+        with schema_errors(f"flow #{position}"):
+            routes.append((int(entry["id"]), tuple(int(u) for u in entry["route"])))
     return params, net, retired, tuple(routes)

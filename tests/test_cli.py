@@ -148,6 +148,36 @@ class TestSchedule:
         assert main(["schedule", "--instance", str(tmp_path / "nope.json"), "--method", "heuristic", "--out", str(tmp_path / "o.json")]) == 3
 
 
+class TestMalformedFields:
+    """Missing or mistyped fields end in exit 2 with a message, not a traceback."""
+
+    def test_schedule_rule_counts_without_r_ins(self, tmp_path, capsys):
+        doc = {
+            "flows": [{"id": 0, "rule_counts": {"r_del": 1, "r_mod": 1}, "delta": [0]}],
+            "uavs": [{"id": 0, "p_watts": 10.0}],
+        }
+        inst = write_json(tmp_path / "inst.json", doc)
+        assert main(["schedule", "--instance", inst, "--method", "heuristic", "--out", str(tmp_path / "o.json")]) == 2
+        assert "r_ins" in capsys.readouterr().err
+
+    def test_gen_instance_uav_without_y(self, tmp_path, capsys):
+        net, _, _ = gen_toy_files(tmp_path)
+        doc = json.loads(net.read_text())
+        del doc["uavs"][2]["y"]
+        bad = write_json(tmp_path / "bad.json", doc)
+        code = main(
+            ["gen-instance", "--network", bad, "--flows", "2", "--retired", "1", "--seed", "1", "--out", str(tmp_path / "o.json")]
+        )
+        assert code == 2
+        assert "'y'" in capsys.readouterr().err
+
+    def test_schedule_flow_with_null_t_ms(self, tmp_path, capsys):
+        doc = {"flows": [{"id": 0, "t_ms": None, "delta": [0]}], "uavs": [{"id": 0, "p_watts": 10.0}]}
+        inst = write_json(tmp_path / "inst.json", doc)
+        assert main(["schedule", "--instance", inst, "--method", "heuristic", "--out", str(tmp_path / "o.json")]) == 2
+        assert "flow #0" in capsys.readouterr().err
+
+
 class TestExportIlp:
     def test_reference_instance_has_72_binaries(self, tmp_path, reference_file):
         out = tmp_path / "model.lp"
@@ -247,6 +277,14 @@ class TestExperimentAndPlot:
         assert lines[0] == "# incomplete"
         assert lines[1].startswith("m,n_f,method")
         assert len(lines) == 4  # marker + header + the two completed cells
+        svg = tmp_path / "partial.svg"
+        assert main(["plot", "--csv", str(target), "--metric", "energy", "--out", str(svg)]) == 0
+        assert svg.read_text().count("<circle") == 2
+
+    def test_plot_keeps_rejecting_foreign_columns_after_the_marker(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# incomplete\na,b\n1,2\n")
+        assert main(["plot", "--csv", str(bad), "--metric", "energy", "--out", str(tmp_path / "o.svg")]) == 2
 
     def test_plot_twice_is_byte_identical(self, tmp_path):
         config = dict(DESK_CONFIG, csv_path=str(tmp_path / "out.csv"))

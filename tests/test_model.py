@@ -308,3 +308,23 @@ class TestInstanceJson:
             instance_from_json({"flows": [{"id": 0, "t_ms": 10, "delta": []}], "uavs": []})
         with pytest.raises(ValueError):
             instance_from_json([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "flow,uav",
+        [
+            ({"id": 0, "rule_counts": {"r_del": 1, "r_mod": 1}, "delta": [0]}, {"id": 0, "p_watts": 1.0}),
+            ({"id": 0, "rule_counts": [1, 1, 1], "delta": [0]}, {"id": 0, "p_watts": 1.0}),
+            ({"id": 0, "t_ms": None, "delta": [0]}, {"id": 0, "p_watts": 1.0}),
+            ({"id": None, "t_ms": 10, "delta": [0]}, {"id": 0, "p_watts": 1.0}),
+            ({"id": 0, "t_ms": 10, "delta": [[0]]}, {"id": 0, "p_watts": 1.0}),
+            ({"id": 0, "t_ms": 10, "delta": [0]}, {"id": 0, "p_watts": None}),
+        ],
+    )
+    def test_missing_or_mistyped_fields_raise_value_error(self, flow, uav):
+        with pytest.raises(ValueError, match=r"#0"):
+            instance_from_json({"flows": [flow], "uavs": [uav]})
+
+    def test_mistyped_timing_raises_value_error(self):
+        doc = {"timings": {"tau_ins_ms": None}, "flows": [{"id": 0, "t_ms": 10, "delta": [0]}], "uavs": [{"p_watts": 1.0}]}
+        with pytest.raises(ValueError, match="timings"):
+            instance_from_json(doc)

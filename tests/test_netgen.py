@@ -1,5 +1,7 @@
 """Tests for network generation: radio model, hover power, routing, sampling."""
 
+from collections import deque
+import hashlib
 import math
 import random
 
@@ -197,7 +199,112 @@ class TestShortestRoute:
                 assert net.has_link(a, b)
 
 
+def early_exit_route(net, src, dst):
+    """Reference router: the per-call BFS that stops at dst, kept verbatim as an oracle."""
+    if src == dst:
+        raise ValueError("route endpoints must differ")
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == dst:
+            break
+        du = dist[u]
+        for v in net.links[u]:
+            if v not in dist:
+                dist[v] = du + 1
+                queue.append(v)
+    if dst not in dist:
+        raise Unreachable(f"no path from {src} to {dst}")
+    path = [dst]
+    node = dst
+    while node != src:
+        node = min(v for v in net.links[node] if dist.get(v, -1) == dist[path[-1]] - 1)
+        path.append(node)
+    path.reverse()
+    return tuple(path)
+
+
+DENSE = NetworkParams(num_uavs=40, area_side=150.0)
+SPARSE = NetworkParams(num_uavs=20, area_side=140.0)
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("params", [DENSE, SPARSE], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("seed", [3, 4, 5, 6])
+    def test_matches_early_exit_bfs_on_every_pair(self, params, seed):
+        net = generate_network(params, seed=seed)
+        unreachable = []
+        for src in range(net.num_uavs):
+            for dst in range(net.num_uavs):
+                if src == dst:
+                    continue
+                try:
+                    expected = early_exit_route(net, src, dst)
+                except Unreachable:
+                    unreachable.append((src, dst))
+                    with pytest.raises(Unreachable):
+                        shortest_route(net, src, dst)
+                    continue
+                assert shortest_route(net, src, dst) == expected
+        for src, dst in unreachable:  # answered from the filled table
+            with pytest.raises(Unreachable):
+                shortest_route(net, src, dst)
+        if params is SPARSE:
+            assert unreachable
+
+    def test_repeated_requests_return_the_memoised_route(self):
+        net = generate_network(DENSE, seed=1)
+        assert shortest_route(net, 0, 5) is shortest_route(net, 0, 5)
+
+    def test_unknown_source_rejected(self):
+        net = grid_network(1, 3)
+        for src in (-1, 3):
+            with pytest.raises(ValueError):
+                shortest_route(net, src, 1)
+
+    def test_filled_table_leaves_equality_hash_and_json_alone(self):
+        net = generate_network(DENSE, seed=2)
+        for src in range(net.num_uavs):
+            for dst in range(net.num_uavs):
+                if src != dst:
+                    try:
+                        shortest_route(net, src, dst)
+                    except Unreachable:
+                        pass
+        fresh = generate_network(DENSE, seed=2)
+        _, loaded = network_from_json(network_to_json(DENSE, net))
+        for other in (fresh, loaded):
+            assert net == other and other == net
+            assert hash(net) == hash(other)
+            assert repr(net) == repr(other)
+        assert network_to_json(DENSE, net) == network_to_json(DENSE, fresh)
+
+
+# (network params, network seed, flows, retiring, scenario seed) -> SHA-256 of
+# repr((routes, sorted(retired))), recorded with the per-call early-exit BFS
+SCENARIO_DIGESTS = [
+    (DENSE, 1, 70, 10, 2, "95048ab9f2ac147847b349f7bc9f3d1e49eaf9f2d4329f984412688fccc51c56"),
+    (DENSE, 7, 100, 5, 3, "56ff6c00575e6d38d85b17bd13bf24b4a3f4bea539b2810536fcf3ddb77c9af8"),
+    (SPARSE, 4, 24, 6, 9, "dd5787183019c633260617a7c9fd3741e1bc33a9a348cca475435e1e11b7fa72"),
+]
+
+
 class TestSampleScenario:
+    @pytest.mark.parametrize(
+        "params,net_seed,n_f,m,seed,digest", SCENARIO_DIGESTS, ids=["dense-1", "dense-7", "sparse-4"]
+    )
+    def test_matches_recorded_scenarios(self, params, net_seed, n_f, m, seed, digest):
+        net = generate_network(params, seed=net_seed)
+        routes, retired = sample_scenario(net, n_f, m, seed=seed)
+        assert hashlib.sha256(repr((routes, sorted(retired))).encode()).hexdigest() == digest
+
+    def test_matches_recorded_small_scenario(self):
+        net = generate_network(SPARSE, seed=4)
+        routes, retired = sample_scenario(net, 4, 3, seed=1)
+        assert routes == ((0, (17, 14)), (1, (17, 1, 0)), (2, (14, 15)), (3, (5, 4, 12)))
+        assert retired == frozenset({2, 4, 18})
+
     def test_deterministic(self):
         net = generate_network(NetworkParams(), seed=1)
         assert sample_scenario(net, 10, 4, seed=5) == sample_scenario(net, 10, 4, seed=5)
@@ -259,3 +366,31 @@ class TestNetworkJson:
             network_from_json({"params": {}})
         with pytest.raises(ValueError):
             network_from_json({"params": {"num_uavs": 3}, "uavs": [{"id": 0, "x": 0, "y": 0, "mass_kg": 1}]})
+
+    @pytest.mark.parametrize(
+        "bad_uav",
+        [{"id": 1, "x": 5.0, "mass_kg": 1.0}, {"id": 1, "x": None, "y": 5.0, "mass_kg": 1.0}, "uav", None],
+    )
+    def test_missing_or_mistyped_uav_fields_raise_value_error(self, bad_uav):
+        doc = network_to_json(NetworkParams(num_uavs=2), grid_network(1, 2))
+        doc["uavs"][1] = bad_uav
+        with pytest.raises(ValueError, match="uav #1"):
+            network_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "params", [{"radio": []}, {"hover": None}, {"num_uavs": None}, {"mass_choices": 3}]
+    )
+    def test_mistyped_params_raise_value_error(self, params):
+        with pytest.raises(ValueError):
+            params_from_json(params)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("retired", None), ("retired", [None]), ("flows", {}), ("flows", [{"id": 0}]), ("flows", [{"id": 0, "route": 5}])],
+    )
+    def test_mistyped_scenario_fields_raise_value_error(self, field, value):
+        params = NetworkParams(num_uavs=2)
+        doc = scenario_to_json(params, grid_network(1, 2), [], [(0, (0, 1))])
+        doc[field] = value
+        with pytest.raises(ValueError):
+            scenario_from_json(doc)
