@@ -48,7 +48,6 @@ from .netgen import (
     snr,
 )
 from .ordering import (
-    CombinedIndex,
     DependencyRelation,
     IlpModel,
     TotalOrderMatrix,

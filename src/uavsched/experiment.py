@@ -18,7 +18,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import ConfigInvalid, IoFailure, TooFewSamples
+from .errors import ConfigInvalid, IoFailure, TooFewSamples, schema_errors
 from .model import DEFAULT_TIMINGS, RuleTimings, build_instance, instance_to_json
 from .netgen import (
     NetworkParams,
@@ -405,25 +405,31 @@ def config_from_json(data: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigInvalid(f"bad network params: {exc}") from exc
     timings_data = data.get("timings", {})
-    timings = RuleTimings.from_milliseconds(
-        float(timings_data.get("tau_del_ms", 5.0)),
-        float(timings_data.get("tau_ins_ms", 5.0)),
-        float(timings_data.get("tau_mod_ms", 10.0)),
-    )
-    defaults = ExperimentConfig(network=network, timings=timings)
-    return replace(
-        defaults,
-        n_flows_list=tuple(int(v) for v in data.get("n_flows_list", defaults.n_flows_list)),
-        m_list=tuple(int(v) for v in data.get("m_list", defaults.m_list)),
-        iterations=int(data.get("iterations", defaults.iterations)),
-        methods=tuple(data.get("methods", defaults.methods)),
-        exact_cap=int(data.get("exact_cap", defaults.exact_cap)),
-        master_seed=int(data.get("master_seed", defaults.master_seed)),
-        resample_retired_per_iteration=bool(
-            data.get("resample_retired_per_iteration", defaults.resample_retired_per_iteration)
-        ),
-        workers=int(data.get("workers", defaults.workers)),
-        csv_path=data.get("csv_path"),
-        svg_energy_path=data.get("svg_energy_path"),
-        svg_runtime_path=data.get("svg_runtime_path"),
-    )
+    if not isinstance(timings_data, dict):
+        raise ConfigInvalid("'timings' must be an object")
+    for key in ("csv_path", "svg_energy_path", "svg_runtime_path"):
+        if not isinstance(data.get(key), (str, type(None))):
+            raise ConfigInvalid(f"'{key}' must be a string or null")
+    with schema_errors("experiment config"):
+        timings = RuleTimings.from_milliseconds(
+            float(timings_data.get("tau_del_ms", 5.0)),
+            float(timings_data.get("tau_ins_ms", 5.0)),
+            float(timings_data.get("tau_mod_ms", 10.0)),
+        )
+        defaults = ExperimentConfig(network=network, timings=timings)
+        return replace(
+            defaults,
+            n_flows_list=tuple(int(v) for v in data.get("n_flows_list", defaults.n_flows_list)),
+            m_list=tuple(int(v) for v in data.get("m_list", defaults.m_list)),
+            iterations=int(data.get("iterations", defaults.iterations)),
+            methods=tuple(data.get("methods", defaults.methods)),
+            exact_cap=int(data.get("exact_cap", defaults.exact_cap)),
+            master_seed=int(data.get("master_seed", defaults.master_seed)),
+            resample_retired_per_iteration=bool(
+                data.get("resample_retired_per_iteration", defaults.resample_retired_per_iteration)
+            ),
+            workers=int(data.get("workers", defaults.workers)),
+            csv_path=data.get("csv_path"),
+            svg_energy_path=data.get("svg_energy_path"),
+            svg_runtime_path=data.get("svg_runtime_path"),
+        )

@@ -354,5 +354,10 @@ def scenario_from_json(data: dict):
     routes = []
     for position, entry in enumerate(data["flows"]):
         with schema_errors(f"flow #{position}"):
-            routes.append((int(entry["id"]), tuple(int(u) for u in entry["route"])))
+            fid, route = int(entry["id"]), tuple(int(u) for u in entry["route"])
+        if not all(0 <= u < net.num_uavs for u in route):
+            raise ValueError(f"flow #{position}: route {list(route)} references unknown UAV ids")
+        if not all(net.has_link(u, v) for u, v in zip(route, route[1:])):
+            raise ValueError(f"flow #{position}: route {list(route)} takes a hop with no link")
+        routes.append((fid, route))
     return params, net, retired, tuple(routes)

@@ -16,27 +16,6 @@ from .model import ReplacementInstance, Schedule, ensure_valid_schedule
 
 
 @dataclass(frozen=True)
-class CombinedIndex:
-    """1-based indexing of the combined flow+UAV set."""
-
-    n: int
-    m: int
-
-    @property
-    def size(self) -> int:
-        return self.n + self.m
-
-    def flow(self, i: int) -> int:
-        return i + 1
-
-    def uav(self, j: int) -> int:
-        return self.n + 1 + j
-
-    def is_flow(self, k: int) -> bool:
-        return 1 <= k <= self.n
-
-
-@dataclass(frozen=True)
 class DependencyRelation:
     """Flow-before-UAV precedence pairs over combined indices (bipartite)."""
 
@@ -163,27 +142,36 @@ def build_ilp(instance: ReplacementInstance) -> IlpModel:
 
 
 def lp_text(model: IlpModel) -> str:
-    """Render the model in LP file format, rows in lexicographic index order."""
-    lines = ["Minimize", " obj:"]
-    first = True
-    for (i, j), coeff in model.objective:
-        prefix = "   " if first else "   + "
-        lines.append(f"{prefix}{coeff!r} x_{i}_{j}")
-        first = False
-    if first:
-        lines.append("   0 x_1_2")
-    lines.append("Subject To")
-    for i, j in model.fixed:
-        lines.append(f" dep_{i}_{j}: x_{i}_{j} = 1")
-    for i, j in model.pair_equalities():
-        lines.append(f" pair_{i}_{j}: x_{i}_{j} + x_{j}_{i} = 1")
-    for i, j, k in model.triple_inequalities():
-        lines.append(f" tri_{i}_{j}_{k}: x_{i}_{j} + x_{j}_{k} - x_{i}_{k} <= 1")
-    lines.append("Binary")
-    for i, j in model.variables():
-        lines.append(f" x_{i}_{j}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    """Render the model in LP file format, rows in lexicographic index order.
+
+    The (n+m)^3 transitivity rows dominate the text, so rows are built in
+    blocks: one string per (i, j) over all k, with the parts that do not
+    depend on k formatted once per block.
+    """
+    size = model.size
+    names = [str(k) for k in range(size + 1)]
+    terms = [f"{coeff!r} x_{i}_{j}" for (i, j), coeff in model.objective] or ["0 x_1_2"]
+    blocks = ["Minimize\n obj:\n   ", "\n   + ".join(terms), "\nSubject To\n"]
+    blocks.append("".join([f" dep_{i}_{j}: x_{i}_{j} = 1\n" for i, j in model.fixed]))
+    blocks.append(
+        "".join([f" pair_{i}_{j}: x_{i}_{j} + x_{j}_{i} = 1\n" for i, j in model.pair_equalities()])
+    )
+    for i in range(1, size + 1):
+        si = names[i]
+        tail = f" - x_{si}_"
+        for j in range(1, size + 1):
+            if j == i:
+                continue
+            sj = names[j]
+            head = f" tri_{si}_{sj}_"
+            mid = f": x_{si}_{sj} + x_{sj}_"
+            lo, hi = (i, j) if i < j else (j, i)
+            ks = names[1:lo] + names[lo + 1 : hi] + names[hi + 1 :]
+            blocks.append("".join([f"{head}{k}{mid}{k}{tail}{k} <= 1\n" for k in ks]))
+    blocks.append("Binary\n")
+    blocks.append("".join([f" x_{i}_{j}\n" for i, j in model.variables()]))
+    blocks.append("End\n")
+    return "".join(blocks)
 
 
 def export_lp(model: IlpModel, destination) -> str:

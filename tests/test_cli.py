@@ -177,6 +177,34 @@ class TestMalformedFields:
         assert main(["schedule", "--instance", inst, "--method", "heuristic", "--out", str(tmp_path / "o.json")]) == 2
         assert "flow #0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"timings": None}, {"n_flows_list": None}, {"methods": 5}, {"iterations": None}, {"svg_energy_path": 5}],
+        ids=["timings-null", "n_flows_list-null", "methods-int", "iterations-null", "svg-path-int"],
+    )
+    def test_experiment_config_with_mistyped_value(self, tmp_path, capsys, config):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        csv_path = tmp_path / "out.csv"
+        assert main(["experiment", "--config", cfg, "--csv", str(csv_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize(
+        "route,code", [([0, 1, 2], 0), ([0, 1, 999], 2), ([0, 2], 2)], ids=["path", "unknown-uav", "no-link"]
+    )
+    def test_gen_instance_scenario_route_must_be_a_network_path(self, tmp_path, capsys, route, code):
+        # three UAVs on a line 30 m apart: 0-1 and 1-2 are linked, 0-2 (60 m) is not
+        doc = {
+            "params": {"num_uavs": 3, "area_side": 90.0},
+            "uavs": [{"id": u, "x": 30.0 * u, "y": 0.0, "mass_kg": 1.0} for u in range(3)],
+            "retired": [1],
+            "flows": [{"id": 0, "route": route}],
+        }
+        scen = write_json(tmp_path / "scen.json", doc)
+        assert main(["gen-instance", "--network", scen, "--out", str(tmp_path / "o.json")]) == code
+        if code:
+            assert "flow #0" in capsys.readouterr().err
+
 
 class TestExportIlp:
     def test_reference_instance_has_72_binaries(self, tmp_path, reference_file):

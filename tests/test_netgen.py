@@ -394,3 +394,11 @@ class TestNetworkJson:
         doc[field] = value
         with pytest.raises(ValueError):
             scenario_from_json(doc)
+
+    @pytest.mark.parametrize("route", [(0, 1, 999), (-1, 0, 1), (0, 2), (0, 1, 1)])
+    def test_scenario_routes_off_the_network_rejected(self, route):
+        net = grid_network(1, 3)  # 0-1 and 1-2 linked; 0 and 2 sit 60 m apart, unlinked
+        assert not net.has_link(0, 2)
+        doc = scenario_to_json(NetworkParams(num_uavs=3, area_side=90.0), net, [1], [(0, route)])
+        with pytest.raises(ValueError, match="flow #0"):
+            scenario_from_json(doc)

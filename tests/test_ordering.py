@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from uavsched.errors import DimensionMismatch, EmptyInstance, InvalidOrder, InvalidSchedule
 from uavsched.model import Schedule, compute_energy, instance_from_parts
 from uavsched.ordering import (
-    CombinedIndex,
     DependencyRelation,
+    IlpModel,
     TotalOrderMatrix,
     build_ilp,
     dependency_from_instance,
@@ -35,13 +35,77 @@ def singleton_instance():
     return instance_from_parts((0.020,), ({0},), (100.0,))
 
 
-class TestCombinedIndex:
-    def test_mapping(self):
-        idx = CombinedIndex(n=4, m=5)
-        assert idx.size == 9
-        assert idx.flow(0) == 1
-        assert idx.uav(0) == 5
-        assert idx.is_flow(4) and not idx.is_flow(5)
+def seed_lp_text(model: IlpModel) -> str:
+    """The original row-by-row LP renderer, kept as the byte-identity oracle."""
+    lines = ["Minimize", " obj:"]
+    first = True
+    for (i, j), coeff in model.objective:
+        prefix = "   " if first else "   + "
+        lines.append(f"{prefix}{coeff!r} x_{i}_{j}")
+        first = False
+    if first:
+        lines.append("   0 x_1_2")
+    lines.append("Subject To")
+    for i, j in model.fixed:
+        lines.append(f" dep_{i}_{j}: x_{i}_{j} = 1")
+    for i, j in model.pair_equalities():
+        lines.append(f" pair_{i}_{j}: x_{i}_{j} + x_{j}_{i} = 1")
+    for i, j, k in model.triple_inequalities():
+        lines.append(f" tri_{i}_{j}_{k}: x_{i}_{j} + x_{j}_{k} - x_{i}_{k} <= 1")
+    lines.append("Binary")
+    for i, j in model.variables():
+        lines.append(f" x_{i}_{j}")
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(model: IlpModel):
+    """Compare lp_text with the oracle, naming the first differing row on failure."""
+    text, expected = lp_text(model), seed_lp_text(model)
+    if text != expected:
+        rows, expected_rows = text.splitlines(), expected.splitlines()
+        pairs = enumerate(zip(rows, expected_rows))
+        r = next((r for r, (a, b) in pairs if a != b), min(len(rows), len(expected_rows)))
+        got = rows[r] if r < len(rows) else "<end>"
+        want = expected_rows[r] if r < len(expected_rows) else "<end>"
+        pytest.fail(f"LP text differs at row {r}: {got!r} != {want!r}")
+
+
+def milp_optimum(text: str) -> float:
+    """Solve LP text as written by lp_text with the HiGHS MILP solver."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    head, rest = text.split("Subject To\n")
+    rows, binaries = rest.split("Binary\n")
+    names = binaries.split()
+    assert names.pop() == "End"
+    column = {name: c for c, name in enumerate(names)}
+    cost = np.zeros(len(names))
+    for coeff, name in re.findall(r"(\S+) (x_\d+_\d+)", head.split(" obj:\n")[1]):
+        cost[column[name]] += float(coeff)
+    lines = rows.splitlines()
+    matrix = np.zeros((len(lines), len(names)))
+    lower, upper = np.empty(len(lines)), np.empty(len(lines))
+    for r, line in enumerate(lines):
+        lhs, sense, rhs = line.split(": ", 1)[1].rsplit(" ", 2)
+        sign = 1.0
+        for token in lhs.split():
+            if token in ("+", "-"):
+                sign = -1.0 if token == "-" else 1.0
+            else:
+                matrix[r, column[token]] += sign
+                sign = 1.0
+        assert sense in ("=", "<=")
+        lower[r] = float(rhs) if sense == "=" else -np.inf
+        upper[r] = float(rhs)
+    result = optimize.milp(
+        cost,
+        constraints=optimize.LinearConstraint(matrix, lower, upper),
+        integrality=np.ones(len(names)),
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert result.success, result.message
+    return result.fun
 
 
 class TestDependency:
@@ -116,6 +180,36 @@ class TestExportLp:
         assert len(re.findall(r"^ dep_", text, flags=re.M)) == 9
         assert len(re.findall(r"^ pair_", text, flags=re.M)) == 36
         assert len(re.findall(r"^ tri_", text, flags=re.M)) == 504
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            build_ilp(singleton_instance()),
+            build_ilp(reference_instance()),
+            build_ilp(instance_from_parts((), (), (50.0, 60.0))),  # empty objective: 0 x_1_2
+            IlpModel(n=3, m=0, objective=(), fixed=()),
+        ],
+        ids=["singleton", "worked-example", "no-flows", "no-uavs"],
+    )
+    def test_text_matches_the_row_by_row_renderer(self, model):
+        assert_same_text(model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_text_matches_the_row_by_row_renderer_on_random_instances(self, seed):
+        inst = random_instance(random.Random(seed), max_n=7, max_m=7, dyadic=False)
+        assert_same_text(build_ilp(inst))
+
+    def test_text_matches_the_row_by_row_renderer_at_paper_scale(self):
+        rng = random.Random(59)
+        inst = instance_from_parts(
+            tuple(rng.uniform(0.005, 0.060) for _ in range(59)),
+            tuple(frozenset(rng.sample(range(10), rng.randint(1, 3))) for _ in range(59)),
+            tuple(rng.uniform(20.0, 310.0) for _ in range(10)),
+        )
+        model = build_ilp(inst)
+        assert model.size == 69
+        assert_same_text(model)
 
     def test_byte_identical_across_exports(self, tmp_path):
         ilp = build_ilp(reference_instance())
@@ -274,3 +368,17 @@ class TestIlpObjective:
         text = lp_text(build_ilp(reference_instance()))
         terms = re.findall(r"x_(\d+)_(\d+)", text.split("Subject To")[0])
         assert terms == [(str(i), str(j)) for i in range(1, 5) for j in range(5, 10)]
+
+
+class TestMilpSolver:
+    """HiGHS solves the exported text: a third optimiser beside brute force and the DPs."""
+
+    def test_worked_example(self):
+        assert milp_optimum(lp_text(build_ilp(reference_instance()))) == pytest.approx(46.0, rel=1e-9)
+
+    def test_random_instances_match_exact_dp(self):
+        rng = random.Random(8)
+        for _ in range(10):
+            inst = random_instance(rng, max_n=8)
+            optimum = milp_optimum(lp_text(build_ilp(inst)))
+            assert optimum == pytest.approx(exact_schedule_dp(inst).energy, rel=1e-9)
