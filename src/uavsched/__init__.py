@@ -71,7 +71,7 @@ from .sched import (
 from .experiment import (
     CellStats,
     ExperimentConfig,
-    McmcResult,
+    ExperimentResult,
     emit_svg,
     run_experiment,
     summarize,

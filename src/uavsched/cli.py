@@ -184,9 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--scenario-out", help="also write the routed scenario JSON")
-    p.add_argument("--tau-del-ms", type=float, default=5.0)
-    p.add_argument("--tau-ins-ms", type=float, default=5.0)
-    p.add_argument("--tau-mod-ms", type=float, default=10.0)
+    for key, default in model.timings_to_json(model.DEFAULT_TIMINGS).items():
+        p.add_argument("--" + key.replace("_", "-"), type=float, default=default)
     p.set_defaults(func=cmd_gen_instance)
 
     p = sub.add_parser("schedule", help="schedule an instance file")

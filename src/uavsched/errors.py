@@ -68,3 +68,21 @@ def schema_errors(where: str):
         raise ValueError(f"{where}: missing field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"{where}: value of the wrong type ({exc})") from exc
+
+
+def json_scalar(value, kind: type, where: str):
+    """Read a JSON value as ``kind`` (bool, int or float) without coercion.
+
+    A bool is never read as a number nor a number as a bool, and an int only
+    from a number whose value is integral.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is bool:
+        valid = isinstance(value, bool)
+    elif kind is int:
+        valid = number and (isinstance(value, int) or value.is_integer())
+    else:
+        valid = number
+    if not valid:
+        raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return kind(value)

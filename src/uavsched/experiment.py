@@ -6,11 +6,10 @@ fresh flows are drawn each iteration.  Every enabled method schedules the
 same instance, so method comparisons are paired.  Per-cell statistics are
 the sample mean, its standard error, and the 1.96-sigma confidence
 interval.  All randomness derives from the master seed, so results are
-independent of execution order and worker count.
+independent of execution order.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 import csv
 import hashlib
 import io
@@ -18,8 +17,8 @@ import json
 import math
 from pathlib import Path
 
-from .errors import ConfigInvalid, IoFailure, TooFewSamples, schema_errors
-from .model import DEFAULT_TIMINGS, RuleTimings, build_instance, instance_to_json
+from .errors import ConfigInvalid, IoFailure, TooFewSamples, json_scalar, schema_errors
+from .model import DEFAULT_TIMINGS, RuleTimings, build_instance, instance_to_json, timings_from_json
 from .netgen import (
     NetworkParams,
     generate_network,
@@ -48,7 +47,6 @@ class ExperimentConfig:
     exact_cap: int = 22
     master_seed: int = 0
     resample_retired_per_iteration: bool = False
-    workers: int = 1
     timings: RuleTimings = DEFAULT_TIMINGS
     csv_path: str | None = None
     svg_energy_path: str | None = None
@@ -72,8 +70,6 @@ class ExperimentConfig:
         for n_f in self.n_flows_list:
             if n_f < 1:
                 raise ConfigInvalid(f"n_flows={n_f} must be positive")
-        if self.workers < 1:
-            raise ConfigInvalid(f"workers must be at least 1, got {self.workers}")
         if self.exact_cap < 0:
             raise ConfigInvalid(f"exact_cap must be non-negative, got {self.exact_cap}")
 
@@ -99,7 +95,7 @@ class CellStats:
 
 
 @dataclass(frozen=True)
-class McmcResult:
+class ExperimentResult:
     config: ExperimentConfig
     cells: tuple[CellStats, ...]
     instance_digests: dict[tuple[int, int], tuple[str, ...]]
@@ -150,7 +146,7 @@ def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, retired, k: 
     return _instance_digest(instance), outcomes
 
 
-def run_experiment(config: ExperimentConfig, progress=None) -> McmcResult:
+def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     """Run every configured cell; deterministic in everything but wall times.
 
     ``progress``, when given, is called with each CellStats as soon as its
@@ -164,18 +160,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> McmcResult:
             retired = sample_retired_set(
                 net, m, random.Random(_derive_seed(config.master_seed, "retired", n_f, m))
             )
-            if config.workers == 1:
-                iterations = [
-                    _run_iteration(config, net, n_f, m, retired, k) for k in range(config.iterations)
-                ]
-            else:
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    iterations = list(
-                        pool.map(
-                            lambda k: _run_iteration(config, net, n_f, m, retired, k),
-                            range(config.iterations),
-                        )
-                    )
+            iterations = [_run_iteration(config, net, n_f, m, retired, k) for k in range(config.iterations)]
             digests[(n_f, m)] = tuple(digest for digest, _ in iterations)
             for method in config.methods:
                 samples = []
@@ -204,7 +189,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> McmcResult:
                 cells.append(cell)
                 if progress is not None:
                     progress(cell)
-    return McmcResult(config=config, cells=tuple(cells), instance_digests=digests)
+    return ExperimentResult(config=config, cells=tuple(cells), instance_digests=digests)
 
 
 def _fmt(value: float) -> str:
@@ -233,7 +218,7 @@ def csv_text(cells) -> str:
     return buffer.getvalue()
 
 
-def write_csv(result: McmcResult, destination) -> str:
+def write_csv(result: ExperimentResult, destination) -> str:
     text = csv_text(result.cells)
     try:
         Path(destination).write_text(text, encoding="ascii")
@@ -369,7 +354,7 @@ def svg_text(cells, metric: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_svg(result: McmcResult, metric: str, destination) -> str:
+def emit_svg(result: ExperimentResult, metric: str, destination) -> str:
     text = svg_text(result.cells, metric)
     try:
         Path(destination).write_text(text, encoding="ascii")
@@ -382,53 +367,34 @@ def config_from_json(data: dict) -> ExperimentConfig:
     """Parse an experiment config; field names mirror ExperimentConfig."""
     if not isinstance(data, dict):
         raise ConfigInvalid("experiment config must be a JSON object")
-    known = {
-        "network",
-        "n_flows_list",
-        "m_list",
-        "iterations",
-        "methods",
-        "exact_cap",
-        "master_seed",
-        "resample_retired_per_iteration",
-        "workers",
-        "timings",
-        "csv_path",
-        "svg_energy_path",
-        "svg_runtime_path",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
     try:
         network = params_from_json(data.get("network", {}))
     except ValueError as exc:
         raise ConfigInvalid(f"bad network params: {exc}") from exc
-    timings_data = data.get("timings", {})
-    if not isinstance(timings_data, dict):
-        raise ConfigInvalid("'timings' must be an object")
     for key in ("csv_path", "svg_energy_path", "svg_runtime_path"):
         if not isinstance(data.get(key), (str, type(None))):
             raise ConfigInvalid(f"'{key}' must be a string or null")
+    defaults = ExperimentConfig(network=network, timings=timings_from_json(data.get("timings", {})))
+
+    def scalar(key, kind):
+        return json_scalar(data.get(key, getattr(defaults, key)), kind, key)
+
+    def int_list(key):
+        return tuple(json_scalar(v, int, key) for v in data.get(key, getattr(defaults, key)))
+
     with schema_errors("experiment config"):
-        timings = RuleTimings.from_milliseconds(
-            float(timings_data.get("tau_del_ms", 5.0)),
-            float(timings_data.get("tau_ins_ms", 5.0)),
-            float(timings_data.get("tau_mod_ms", 10.0)),
-        )
-        defaults = ExperimentConfig(network=network, timings=timings)
         return replace(
             defaults,
-            n_flows_list=tuple(int(v) for v in data.get("n_flows_list", defaults.n_flows_list)),
-            m_list=tuple(int(v) for v in data.get("m_list", defaults.m_list)),
-            iterations=int(data.get("iterations", defaults.iterations)),
+            n_flows_list=int_list("n_flows_list"),
+            m_list=int_list("m_list"),
+            iterations=scalar("iterations", int),
             methods=tuple(data.get("methods", defaults.methods)),
-            exact_cap=int(data.get("exact_cap", defaults.exact_cap)),
-            master_seed=int(data.get("master_seed", defaults.master_seed)),
-            resample_retired_per_iteration=bool(
-                data.get("resample_retired_per_iteration", defaults.resample_retired_per_iteration)
-            ),
-            workers=int(data.get("workers", defaults.workers)),
+            exact_cap=scalar("exact_cap", int),
+            master_seed=scalar("master_seed", int),
+            resample_retired_per_iteration=scalar("resample_retired_per_iteration", bool),
             csv_path=data.get("csv_path"),
             svg_energy_path=data.get("svg_energy_path"),
             svg_runtime_path=data.get("svg_runtime_path"),

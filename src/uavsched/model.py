@@ -17,6 +17,7 @@ from .errors import (
     EndpointRetired,
     InvalidInstance,
     InvalidSchedule,
+    json_scalar,
     schema_errors,
 )
 
@@ -41,6 +42,21 @@ class RuleTimings:
 
 
 DEFAULT_TIMINGS = RuleTimings()
+
+
+def timings_to_json(timings: RuleTimings) -> dict:
+    """The timings in milliseconds, keyed as in instance and config files."""
+    return {f"{name}_ms": getattr(timings, name) * 1000.0 for name in ("tau_del", "tau_ins", "tau_mod")}
+
+
+def timings_from_json(data) -> RuleTimings:
+    """Parse timings in milliseconds; a missing key keeps its DEFAULT_TIMINGS value."""
+    if not isinstance(data, dict):
+        raise ValueError("'timings' must be an object")
+    defaults = timings_to_json(DEFAULT_TIMINGS)
+    return RuleTimings.from_milliseconds(
+        *(json_scalar(data.get(key, default), float, f"'timings' {key}") for key, default in defaults.items())
+    )
 
 
 @dataclass(frozen=True)
@@ -81,10 +97,6 @@ class RetiredUav:
     hover_power: float
     flow_set: frozenset[int]
 
-    def __post_init__(self):
-        if not (math.isfinite(self.hover_power) and self.hover_power >= 0):
-            raise InvalidInstance(f"hover_power must be non-negative, got {self.hover_power!r}")
-
 
 def handover_time(counts: RuleCounts, timings: RuleTimings) -> float:
     """Time to hand over one flow: weighted sum of its rule-change counts."""
@@ -120,25 +132,28 @@ def rule_counts_from_route(route, retired) -> RuleCounts:
 
 @dataclass(frozen=True)
 class ReplacementInstance:
-    """Flows, retiring UAVs, and the rule timings they were derived under.
+    """Flows, the hover powers of the retiring UAVs, and the rule timings.
 
-    Identifiers are dense (flows 0..n-1, UAVs 0..m-1) and the membership
-    maps are dual: UAV j appears in flow i's retired_set exactly when flow i
-    appears in UAV j's flow_set.
+    Identifiers are dense (flows 0..n-1, UAVs 0..m-1 with power powers[j]).
+    Each flow lists the retiring UAVs it crosses; the dual view, the flows
+    pinning each UAV, is derived from those lists.
     """
 
     flows: tuple[FlowSpec, ...]
-    uavs: tuple[RetiredUav, ...]
+    powers: tuple[float, ...]
     timings: RuleTimings = DEFAULT_TIMINGS
 
     def __post_init__(self):
-        n, m = len(self.flows), len(self.uavs)
+        n, m = len(self.flows), len(self.powers)
+        for j, power in enumerate(self.powers):
+            if not (math.isfinite(power) and power >= 0):
+                raise InvalidInstance(f"UAV {j}: hover_power must be non-negative, got {power!r}")
         for i, flow in enumerate(self.flows):
             if flow.id != i:
                 raise InvalidInstance(f"flow ids must be dense 0..{n - 1}, found {flow.id} at index {i}")
             if not flow.retired_set:
                 raise InvalidInstance(f"flow {i} crosses no retiring UAV and does not belong in an instance")
-            if not flow.retired_set <= set(range(m)):
+            if not all(isinstance(j, int) and 0 <= j < m for j in flow.retired_set):
                 raise InvalidInstance(f"flow {i} references unknown UAV ids {sorted(flow.retired_set)}")
             if not (math.isfinite(flow.handover_time) and flow.handover_time > 0):
                 raise InvalidInstance(f"flow {i} needs a positive handover time, got {flow.handover_time!r}")
@@ -149,19 +164,6 @@ class ReplacementInstance:
                         f"flow {i}: handover_time {flow.handover_time} does not match "
                         f"its rule counts under the instance timings ({expected})"
                     )
-        for j, uav in enumerate(self.uavs):
-            if uav.id != j:
-                raise InvalidInstance(f"UAV ids must be dense 0..{m - 1}, found {uav.id} at index {j}")
-            if not uav.flow_set <= set(range(n)):
-                raise InvalidInstance(f"UAV {j} references unknown flow ids {sorted(uav.flow_set)}")
-        for i, flow in enumerate(self.flows):
-            for j in flow.retired_set:
-                if i not in self.uavs[j].flow_set:
-                    raise InvalidInstance(f"duality violated: flow {i} lists UAV {j} but not vice versa")
-        for j, uav in enumerate(self.uavs):
-            for i in uav.flow_set:
-                if j not in self.flows[i].retired_set:
-                    raise InvalidInstance(f"duality violated: UAV {j} lists flow {i} but not vice versa")
 
     @property
     def n(self) -> int:
@@ -169,36 +171,37 @@ class ReplacementInstance:
 
     @property
     def m(self) -> int:
-        return len(self.uavs)
+        return len(self.powers)
 
     @cached_property
     def times(self) -> tuple[float, ...]:
         return tuple(flow.handover_time for flow in self.flows)
 
     @cached_property
-    def powers(self) -> tuple[float, ...]:
-        return tuple(uav.hover_power for uav in self.uavs)
+    def flow_sets(self) -> tuple[tuple[int, ...], ...]:
+        """For each UAV, the ascending ids of the flows that cross it."""
+        members: list[list[int]] = [[] for _ in self.powers]
+        for flow in self.flows:
+            for j in flow.retired_set:
+                members[j].append(flow.id)
+        return tuple(map(tuple, members))
 
     @cached_property
-    def flow_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(uav.flow_set)) for uav in self.uavs)
+    def uavs(self) -> tuple[RetiredUav, ...]:
+        """One record per retiring UAV: its id, hover power, and the flows pinning it."""
+        return tuple(
+            RetiredUav(id=j, hover_power=power, flow_set=frozenset(members))
+            for j, (power, members) in enumerate(zip(self.powers, self.flow_sets))
+        )
 
 
 def instance_from_parts(times, deltas, powers, timings: RuleTimings = DEFAULT_TIMINGS) -> ReplacementInstance:
-    """Build an instance from handover times, per-flow UAV sets, and powers.
-
-    The per-UAV flow sets are derived from the given deltas by duality.
-    """
-    m = len(powers)
-    lambdas: list[set[int]] = [set() for _ in range(m)]
-    flows = []
-    for i, (t, delta) in enumerate(zip(times, deltas)):
-        delta = frozenset(delta)
-        for j in delta:
-            lambdas[j].add(i)
-        flows.append(FlowSpec(id=i, handover_time=t, retired_set=delta))
-    uavs = [RetiredUav(id=j, hover_power=p, flow_set=frozenset(lambdas[j])) for j, p in enumerate(powers)]
-    return ReplacementInstance(flows=tuple(flows), uavs=tuple(uavs), timings=timings)
+    """Build an instance from handover times, per-flow UAV sets, and powers."""
+    flows = tuple(
+        FlowSpec(id=i, handover_time=t, retired_set=frozenset(delta))
+        for i, (t, delta) in enumerate(zip(times, deltas))
+    )
+    return ReplacementInstance(flows=flows, powers=tuple(powers), timings=timings)
 
 
 @dataclass(frozen=True)
@@ -225,32 +228,12 @@ def ensure_valid_schedule(instance: ReplacementInstance, schedule: Schedule) -> 
         raise InvalidSchedule(f"schedule {order!r} is not a permutation of 0..{n - 1}")
 
 
-def evaluate_order(instance: ReplacementInstance, order) -> float:
-    """Total hovering energy of a flow order; assumes a valid permutation."""
+def _energy(instance: ReplacementInstance, order) -> tuple[list[float], list[float], float]:
+    """Flow finish times, per-UAV completion times, and total energy of a flow order."""
     times = instance.times
     finish = [0.0] * instance.n
     t = 0.0
     for f in order:
-        t += times[f]
-        finish[f] = t
-    total = 0.0
-    for power, members in zip(instance.powers, instance.flow_sets):
-        c = 0.0
-        for i in members:
-            fi = finish[i]
-            if fi > c:
-                c = fi
-        total += power * c
-    return total
-
-
-def compute_energy(instance: ReplacementInstance, schedule: Schedule) -> EnergyReport:
-    """Evaluate a schedule: flow finish times, per-UAV completions, total energy."""
-    ensure_valid_schedule(instance, schedule)
-    times = instance.times
-    finish = [0.0] * instance.n
-    t = 0.0
-    for f in schedule.order:
         t += times[f]
         finish[f] = t
     completions = []
@@ -263,6 +246,18 @@ def compute_energy(instance: ReplacementInstance, schedule: Schedule) -> EnergyR
                 c = fi
         completions.append(c)
         total += power * c
+    return finish, completions, total
+
+
+def evaluate_order(instance: ReplacementInstance, order) -> float:
+    """Total hovering energy of a flow order; assumes a valid permutation."""
+    return _energy(instance, order)[2]
+
+
+def compute_energy(instance: ReplacementInstance, schedule: Schedule) -> EnergyReport:
+    """Evaluate a schedule: flow finish times, per-UAV completions, total energy."""
+    ensure_valid_schedule(instance, schedule)
+    finish, completions, total = _energy(instance, schedule.order)
     return EnergyReport(
         completion_times=tuple(completions),
         total_energy=total,
@@ -301,7 +296,6 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS) 
     seen_flow_ids = set()
     kept_specs = []
     kept_original = []
-    lambdas: list[set[int]] = [set() for _ in retired_uavs]
     for fid, route in flows:
         if fid in seen_flow_ids:
             raise ValueError(f"duplicate flow id {fid!r}")
@@ -313,25 +307,18 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS) 
         if not hit:
             continue
         counts = rule_counts_from_route(nodes, retired_ids)
-        dense_id = len(kept_specs)
-        delta = frozenset(dense_of_uav[u] for u in hit)
-        for j in delta:
-            lambdas[j].add(dense_id)
         kept_specs.append(
             FlowSpec(
-                id=dense_id,
+                id=len(kept_specs),
                 handover_time=handover_time(counts, timings),
-                retired_set=delta,
+                retired_set=frozenset(dense_of_uav[u] for u in hit),
                 rule_counts=counts,
             )
         )
         kept_original.append(fid)
 
-    uavs = tuple(
-        RetiredUav(id=j, hover_power=power, flow_set=frozenset(lambdas[j]))
-        for j, (_, power) in enumerate(retired_uavs)
-    )
-    instance = ReplacementInstance(flows=tuple(kept_specs), uavs=uavs, timings=timings)
+    powers = tuple(power for _, power in retired_uavs)
+    instance = ReplacementInstance(flows=tuple(kept_specs), powers=powers, timings=timings)
     return InstanceBuild(instance=instance, flow_ids=tuple(kept_original), uav_ids=tuple(uav_original))
 
 
@@ -349,13 +336,9 @@ def instance_to_json(instance: ReplacementInstance) -> dict:
             entry["rule_counts"] = {"r_del": counts.r_del, "r_ins": counts.r_ins, "r_mod": counts.r_mod}
         flows.append(entry)
     return {
-        "timings": {
-            "tau_del_ms": instance.timings.tau_del * 1000.0,
-            "tau_ins_ms": instance.timings.tau_ins * 1000.0,
-            "tau_mod_ms": instance.timings.tau_mod * 1000.0,
-        },
+        "timings": timings_to_json(instance.timings),
         "flows": flows,
-        "uavs": [{"id": uav.id, "p_watts": uav.hover_power} for uav in instance.uavs],
+        "uavs": [{"id": j, "p_watts": power} for j, power in enumerate(instance.powers)],
     }
 
 
@@ -363,37 +346,30 @@ def instance_from_json(data: dict) -> ReplacementInstance:
     """Parse the abstract-instance JSON form; ValueError on schema problems."""
     if not isinstance(data, dict):
         raise ValueError("instance JSON must be an object")
-    timings_obj = data.get("timings", {})
-    if not isinstance(timings_obj, dict):
-        raise ValueError("'timings' must be an object")
-    with schema_errors("'timings'"):
-        timings = RuleTimings.from_milliseconds(
-            float(timings_obj.get("tau_del_ms", 5.0)),
-            float(timings_obj.get("tau_ins_ms", 5.0)),
-            float(timings_obj.get("tau_mod_ms", 10.0)),
-        )
+    timings = timings_from_json(data.get("timings", {}))
     raw_flows = data.get("flows")
     raw_uavs = data.get("uavs")
     if not isinstance(raw_flows, list) or not isinstance(raw_uavs, list):
         raise ValueError("instance JSON needs 'flows' and 'uavs' arrays")
 
-    m = len(raw_uavs)
-    lambdas: list[set[int]] = [set() for _ in range(m)]
     flows = []
     for position, entry in enumerate(raw_flows):
+        where = f"flow #{position}"
         if not isinstance(entry, dict):
-            raise ValueError(f"flow #{position} must be an object")
-        with schema_errors(f"flow #{position}"):
-            fid = int(entry.get("id", position))
+            raise ValueError(f"{where} must be an object")
+        with schema_errors(where):
+            fid = json_scalar(entry.get("id", position), int, f"{where} id")
             delta = entry.get("delta")
             if not isinstance(delta, list) or not delta:
                 raise ValueError(f"flow {fid}: 'delta' must be a non-empty list of UAV ids")
-            delta_set = frozenset(int(j) for j in delta)
+            delta_set = frozenset(json_scalar(j, int, f"{where} delta") for j in delta)
             counts = None
             if "rule_counts" in entry:
                 rc = entry["rule_counts"]
-                counts = RuleCounts(int(rc["r_del"]), int(rc["r_ins"]), int(rc["r_mod"]))
-            t = float(entry["t_ms"]) / 1000.0 if "t_ms" in entry else None
+                counts = RuleCounts(
+                    *(json_scalar(rc[key], int, f"{where} {key}") for key in ("r_del", "r_ins", "r_mod"))
+                )
+            t = json_scalar(entry["t_ms"], float, f"{where} t_ms") / 1000.0 if "t_ms" in entry else None
         if t is not None:
             if counts is not None:
                 expected = handover_time(counts, timings)
@@ -403,27 +379,24 @@ def instance_from_json(data: dict) -> ReplacementInstance:
             t = handover_time(counts, timings)
         else:
             raise ValueError(f"flow {fid}: needs 't_ms' or 'rule_counts'")
-        for j in delta_set:
-            if not 0 <= j < m:
-                raise ValueError(f"flow {fid}: delta references unknown UAV id {j}")
-            lambdas[j].add(fid)
         flows.append(FlowSpec(id=fid, handover_time=t, retired_set=delta_set, rule_counts=counts))
 
-    uavs = []
+    m = len(raw_uavs)
+    powers: list[float | None] = [None] * m
     for position, entry in enumerate(raw_uavs):
+        where = f"uav #{position}"
         if not isinstance(entry, dict) or "p_watts" not in entry:
-            raise ValueError(f"uav #{position} must be an object with 'p_watts'")
-        with schema_errors(f"uav #{position}"):
-            uid = int(entry.get("id", position))
-            power = float(entry["p_watts"])
+            raise ValueError(f"{where} must be an object with 'p_watts'")
+        uid = json_scalar(entry.get("id", position), int, f"{where} id")
         if not 0 <= uid < m:
             raise ValueError(f"uav id {uid} out of range")
-        uavs.append(RetiredUav(id=uid, hover_power=power, flow_set=frozenset(lambdas[uid])))
+        if powers[uid] is not None:
+            raise ValueError(f"duplicate uav id {uid}")
+        powers[uid] = json_scalar(entry["p_watts"], float, f"{where} p_watts")
 
-    # entries may appear in any order in the file; ids must still be dense
+    # flows may appear in any order in the file; ids must still be dense
     flows.sort(key=lambda f: f.id)
-    uavs.sort(key=lambda u: u.id)
     try:
-        return ReplacementInstance(flows=tuple(flows), uavs=tuple(uavs), timings=timings)
+        return ReplacementInstance(flows=tuple(flows), powers=tuple(powers), timings=timings)
     except InvalidInstance as exc:
         raise ValueError(str(exc)) from exc

@@ -190,6 +190,41 @@ class TestMalformedFields:
         assert not csv_path.exists()
 
     @pytest.mark.parametrize(
+        "field",
+        [
+            {"resample_retired_per_iteration": "false"},
+            {"m_list": [2.7]},
+            {"n_flows_list": [True]},
+            {"iterations": 3.9},
+        ],
+        ids=["bool-from-string", "m-fraction", "n_flows-bool", "iterations-fraction"],
+    )
+    def test_experiment_config_value_is_not_coerced(self, tmp_path, capsys, field):
+        # a lenient reader would run these as True, (2,), (1,) and 3
+        config = {"network": {"num_uavs": 20, "area_side": 140.0}, "n_flows_list": [8], "m_list": [3],
+                  "iterations": 2, **field}
+        cfg = write_json(tmp_path / "cfg.json", config)
+        csv_path = tmp_path / "out.csv"
+        assert main(["experiment", "--config", cfg, "--csv", str(csv_path)]) == 2
+        assert next(iter(field)) in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize(
+        "flow,uav,timings",
+        [
+            ({"id": 0, "t_ms": True, "delta": [0]}, {"id": 0, "p_watts": 10.0}, {}),
+            ({"id": 0, "t_ms": 10, "delta": [0]}, {"id": 0, "p_watts": True}, {}),
+            ({"id": 0, "t_ms": 10, "delta": [0]}, {"id": 0, "p_watts": 10.0}, {"tau_del_ms": True}),
+        ],
+        ids=["t_ms-bool", "p_watts-bool", "tau_del_ms-bool"],
+    )
+    def test_schedule_bool_is_not_a_number(self, tmp_path, capsys, flow, uav, timings):
+        doc = {"timings": timings, "flows": [flow], "uavs": [uav]}
+        inst = write_json(tmp_path / "inst.json", doc)
+        assert main(["schedule", "--instance", inst, "--method", "heuristic", "--out", str(tmp_path / "o.json")]) == 2
+        assert "expected float, got True" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "route,code", [([0, 1, 2], 0), ([0, 1, 999], 2), ([0, 2], 2)], ids=["path", "unknown-uav", "no-link"]
     )
     def test_gen_instance_scenario_route_must_be_a_network_path(self, tmp_path, capsys, route, code):

@@ -159,7 +159,7 @@ class TestInstanceInvariants:
     def test_ids_must_be_dense(self):
         with pytest.raises(InvalidInstance):
             instance_from_parts((0.02,), ({0},), (10.0,)).__class__(
-                flows=(reference_instance().flows[1],), uavs=reference_instance().uavs[:1]
+                flows=(reference_instance().flows[1],), powers=reference_instance().powers[:1]
             )
 
     def test_empty_delta_rejected(self):
@@ -323,6 +323,20 @@ class TestInstanceJson:
     def test_missing_or_mistyped_fields_raise_value_error(self, flow, uav):
         with pytest.raises(ValueError, match=r"#0"):
             instance_from_json({"flows": [flow], "uavs": [uav]})
+
+    @pytest.mark.parametrize(
+        "flows,uavs",
+        [
+            ([{"id": 0, "t_ms": 10, "delta": [0]}], [{"id": 0, "p_watts": 1.0}, {"id": 0, "p_watts": 2.0}]),
+            ([{"id": 0, "t_ms": 10, "delta": [0]}], [{"id": 0, "p_watts": 1.0}, {"id": 2, "p_watts": 2.0}]),
+            ([{"id": 0, "t_ms": 10, "delta": [0]}, {"id": 0, "t_ms": 20, "delta": [0]}], [{"id": 0, "p_watts": 1.0}]),
+            ([{"id": 0, "t_ms": 10, "delta": [0, 1]}], [{"id": 0, "p_watts": 1.0}]),
+        ],
+        ids=["duplicate-uav", "uav-gap", "duplicate-flow", "delta-beyond-m"],
+    )
+    def test_ids_must_be_unique_dense_and_known(self, flows, uavs):
+        with pytest.raises(ValueError):
+            instance_from_json({"flows": flows, "uavs": uavs})
 
     def test_mistyped_timing_raises_value_error(self):
         doc = {"timings": {"tau_ins_ms": None}, "flows": [{"id": 0, "t_ms": 10, "delta": [0]}], "uavs": [{"p_watts": 1.0}]}
