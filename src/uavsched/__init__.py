@@ -63,6 +63,7 @@ from .sched import (
     ScoreTable,
     SolverResult,
     brute_force_schedule,
+    exact_schedule,
     exact_schedule_dp,
     heuristic_schedule,
     random_schedule,

@@ -94,7 +94,7 @@ def cmd_gen_instance(args) -> int:
 _METHOD_MAP = {
     "heuristic": lambda instance, seed: sched.heuristic_schedule(instance),
     "random": lambda instance, seed: sched.random_schedule(instance, seed),
-    "exact": lambda instance, seed: sched.exact_schedule_dp(instance),
+    "exact": lambda instance, seed: sched.exact_schedule(instance),
     "bruteforce": lambda instance, seed: sched.brute_force_schedule(instance),
 }
 

@@ -6,12 +6,12 @@ connected when the SNR of their line-of-sight channel clears a threshold.
 Flow routes are minimum-hop paths between random non-retiring endpoints.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 import math
 import random
 
-from .errors import NonPositiveDistance, SamplingExhausted, Unreachable, schema_errors
+from .errors import NonPositiveDistance, SamplingExhausted, Unreachable, json_scalar, schema_errors
 
 
 @dataclass(frozen=True)
@@ -273,6 +273,17 @@ def params_to_json(params: NetworkParams) -> dict:
     }
 
 
+def _scalar_fields(cls, data: dict, where: str) -> dict:
+    """The numeric fields of dataclass ``cls`` given in ``data``, each read as the type of its default."""
+    defaults = cls()
+    kinds = {f.name: type(getattr(defaults, f.name)) for f in fields(cls)}
+    return {
+        name: json_scalar(data[name], kind, f"{where} {name}")
+        for name, kind in kinds.items()
+        if name in data and kind in (int, float)
+    }
+
+
 def params_from_json(data: dict) -> NetworkParams:
     """Parse network parameters, filling omitted fields with defaults."""
     if not isinstance(data, dict):
@@ -281,28 +292,18 @@ def params_from_json(data: dict) -> NetworkParams:
     hover_data = data.get("hover", {})
     if not isinstance(radio_data, dict) or not isinstance(hover_data, dict):
         raise ValueError("'radio' and 'hover' must be objects")
-    with schema_errors("network params"):
-        radio = RadioParams(
-            carrier_freq=float(radio_data.get("carrier_freq", 3.0e9)),
-            light_speed=float(radio_data.get("light_speed", 3.0e8)),
-            tx_power=float(radio_data.get("tx_power", 1.0)),
-            noise_power=float(radio_data.get("noise_power", 1.0e-16)),
-            snr_threshold_db=float(radio_data.get("snr_threshold_db", 85.0)),
-        )
-        hover = HoverParams(
-            gravity=float(hover_data.get("gravity", 9.8)),
-            prop_radius=float(hover_data.get("prop_radius", 0.2)),
-            num_props=int(hover_data.get("num_props", 4)),
-            air_density=float(hover_data.get("air_density", 1.225)),
-        )
-        return NetworkParams(
-            num_uavs=int(data.get("num_uavs", 40)),
-            area_side=float(data.get("area_side", 150.0)),
-            common_altitude=float(data.get("common_altitude", 70.0)),
-            mass_choices=tuple(float(m) for m in data.get("mass_choices", (1.0, 2.0, 3.0, 4.0, 5.0))),
-            radio=radio,
-            hover=hover,
-        )
+    masses = {}
+    if "mass_choices" in data:
+        if not isinstance(data["mass_choices"], list):
+            raise ValueError("network params mass_choices must be a list")
+        where = "network params mass_choices"
+        masses["mass_choices"] = tuple(json_scalar(m, float, where) for m in data["mass_choices"])
+    return NetworkParams(
+        **_scalar_fields(NetworkParams, data, "network params"),
+        **masses,
+        radio=RadioParams(**_scalar_fields(RadioParams, radio_data, "network params radio")),
+        hover=HoverParams(**_scalar_fields(HoverParams, hover_data, "network params hover")),
+    )
 
 
 def network_to_json(params: NetworkParams, net: UavNetwork) -> dict:
@@ -324,8 +325,10 @@ def network_from_json(data: dict) -> tuple[NetworkParams, UavNetwork]:
         raise ValueError("'uavs' must list exactly params.num_uavs entries")
     by_id = {}
     for position, entry in enumerate(uavs):
-        with schema_errors(f"uav #{position}"):
-            by_id[int(entry["id"])] = ((float(entry["x"]), float(entry["y"])), float(entry["mass_kg"]))
+        where = f"uav #{position}"
+        with schema_errors(where):
+            x, y, mass = (json_scalar(entry[key], float, f"{where} {key}") for key in ("x", "y", "mass_kg"))
+            by_id[json_scalar(entry["id"], int, f"{where} id")] = ((x, y), mass)
     if sorted(by_id) != list(range(params.num_uavs)):
         raise ValueError("UAV ids must be dense 0..num_uavs-1")
     positions, masses = zip(*(by_id[u] for u in range(params.num_uavs)))
@@ -346,15 +349,17 @@ def scenario_from_json(data: dict):
     if "retired" not in data or "flows" not in data:
         raise ValueError("scenario JSON needs 'retired' and 'flows'")
     with schema_errors("'retired'"):
-        retired = frozenset(int(u) for u in data["retired"])
+        retired = frozenset(json_scalar(u, int, "'retired'") for u in data["retired"])
     if not retired <= set(range(net.num_uavs)):
         raise ValueError("'retired' references unknown UAV ids")
     if not isinstance(data["flows"], list):
         raise ValueError("'flows' must be a list")
     routes = []
     for position, entry in enumerate(data["flows"]):
-        with schema_errors(f"flow #{position}"):
-            fid, route = int(entry["id"]), tuple(int(u) for u in entry["route"])
+        where = f"flow #{position}"
+        with schema_errors(where):
+            fid = json_scalar(entry["id"], int, f"{where} id")
+            route = tuple(json_scalar(u, int, f"{where} route") for u in entry["route"])
         if not all(0 <= u < net.num_uavs for u in route):
             raise ValueError(f"flow #{position}: route {list(route)} references unknown UAV ids")
         if not all(net.has_link(u, v) for u, v in zip(route, route[1:])):

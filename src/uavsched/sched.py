@@ -1,10 +1,13 @@
 """Handover schedulers: score heuristic, random baseline, and exact solvers.
 
-The exact optimum is found with a subset dynamic program over flow sets:
-because handover times add up the same way in any order, the elapsed time
-after a set of flows is order-free, and a retiring UAV's cost is charged at
-the step that completes the last of its flows.  A brute-force permutation
-enumerator serves as an independent oracle at small sizes.
+The exact optimum is found with a subset dynamic program over whichever
+side is smaller.  Over flow sets: because handover times add up the same
+way in any order, the elapsed time after a set of flows is order-free, and
+a retiring UAV's cost is charged at the step that completes the last of its
+flows.  Over UAV sets: once the UAVs finish in a fixed order, handing each
+UAV's remaining flows over as one block just before it finishes is optimal.
+A brute-force permutation enumerator serves as an independent oracle at
+small sizes.
 """
 
 from dataclasses import dataclass
@@ -156,6 +159,71 @@ def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_
         state |= 1 << chosen
     wall = time.perf_counter() - start
     return _result(instance, order, "exact_dp", wall)
+
+
+def exact_schedule(instance: ReplacementInstance, max_side: int = EXACT_CAP_DEFAULT) -> SolverResult:
+    """Globally optimal schedule via a subset DP over the smaller side.
+
+    With n <= m this is ``exact_schedule_dp(instance, max_flows=max_side)``,
+    method label and tie rule included.  Otherwise the DP runs over UAV
+    subsets U: best(U) = min over j in U of best(U - j) + P_j * T(U), where
+    T(U) is the total handover time of the flows crossing any UAV of U.
+    Tie rule: working back from the full set, the lowest UAV id attaining
+    the minimum finishes last; the flows are then handed over block by block
+    in that UAV order, each block (the UAV's flows not yet handed over) in
+    ascending flow id.  InstanceTooLarge only when both n and m exceed
+    ``max_side``.
+    """
+    n, m = instance.n, instance.m
+    if n <= m:
+        return exact_schedule_dp(instance, max_flows=max_side)
+    if m > max_side:
+        raise InstanceTooLarge(
+            f"exact solver capped at {max_side} flows or UAVs, instance has {n} flows and {m} UAVs"
+        )
+    start = time.perf_counter()
+    times = instance.times
+    powers = instance.powers
+    flow_masks = [sum(1 << i for i in members) for members in instance.flow_sets]
+
+    size = 1 << m
+    covered = [0] * size  # mask of the flows crossing U
+    elapsed = [0.0] * size  # T(U)
+    best = [0.0] * size
+    last = [0] * size  # the UAV that finishes last in an optimal order of U
+    inf = float("inf")
+    for state in range(1, size):
+        low = state & -state
+        rest = state ^ low
+        covered[state] = covered[rest] | flow_masks[low.bit_length() - 1]
+        t = elapsed[rest]
+        new = covered[state] & ~covered[rest]
+        while new:
+            bit = new & -new
+            t += times[bit.bit_length() - 1]
+            new ^= bit
+        elapsed[state] = t
+        value, choice = inf, -1
+        bits = state
+        while bits:
+            bit = bits & -bits
+            j = bit.bit_length() - 1
+            cand = best[state ^ bit] + powers[j] * t
+            if cand < value:
+                value, choice = cand, j
+            bits ^= bit
+        best[state] = value
+        last[state] = choice
+
+    uav_order = []
+    state = size - 1
+    while state:
+        uav_order.append(last[state])
+        state ^= 1 << last[state]
+    # each flow is handed over in the block of the first UAV it crosses
+    order = list(dict.fromkeys(i for j in reversed(uav_order) for i in instance.flow_sets[j]))
+    wall = time.perf_counter() - start
+    return _result(instance, order, "exact_uav", wall)
 
 
 def brute_force_schedule(instance: ReplacementInstance, max_flows: int = BRUTE_FORCE_CAP) -> SolverResult:

@@ -1,14 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import random
 import re
 
 import pytest
 
 from uavsched.cli import main
-from uavsched.model import instance_to_json
+from uavsched.model import instance_from_parts, instance_to_json
+from uavsched.sched import exact_schedule_dp
 
-from helpers import reference_instance
+from helpers import dyadic_time, reference_instance
 
 
 def write_json(path, payload):
@@ -120,6 +122,34 @@ class TestSchedule:
         assert doc["schedule"] == [3, 0, 2, 1]
         assert doc["wall_time_s"] >= 0.0
 
+    def test_exact_on_more_flows_than_uavs_uses_the_uav_side(self, tmp_path):
+        # six flows over three UAVs: the UAV-subset DP answers, at the optimum
+        inst = instance_from_parts(
+            (0.03125, 0.0146484375, 0.02734375, 0.0400390625, 0.009765625, 0.05859375),
+            ({0}, {1, 2}, {0, 2}, {1}, {2}, {0, 1}),
+            (120.0, 45.0, 300.0),
+        )
+        path = write_json(tmp_path / "inst.json", instance_to_json(inst))
+        out = tmp_path / "res.json"
+        assert main(["schedule", "--instance", path, "--method", "exact", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["method"] == "exact_uav"
+        assert doc["energy_j"] == exact_schedule_dp(inst).energy
+
+    def test_exact_past_the_flow_cap_solves_on_the_uav_side(self, tmp_path):
+        rng = random.Random(7)
+        doc = {
+            "flows": [{"id": i, "t_ms": dyadic_time(rng) * 1000.0, "delta": sorted(rng.sample(range(6), 2))}
+                      for i in range(30)],
+            "uavs": [{"id": j, "p_watts": float(rng.randint(20, 310))} for j in range(6)],
+        }
+        inst = write_json(tmp_path / "big.json", doc)
+        out = tmp_path / "res.json"
+        assert main(["schedule", "--instance", inst, "--method", "exact", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert result["method"] == "exact_uav"
+        assert sorted(result["schedule"]) == list(range(30))
+
     def test_heuristic_on_reference_instance(self, tmp_path, reference_file):
         out = tmp_path / "res.json"
         assert main(["schedule", "--instance", reference_file, "--method", "heuristic", "--out", str(out)]) == 0
@@ -223,6 +253,30 @@ class TestMalformedFields:
         inst = write_json(tmp_path / "inst.json", doc)
         assert main(["schedule", "--instance", inst, "--method", "heuristic", "--out", str(tmp_path / "o.json")]) == 2
         assert "expected float, got True" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params", [{"num_uavs": 12.7}, {"area_side": True}, {"hover": {"num_props": "4"}}],
+        ids=["num_uavs-fraction", "area_side-bool", "num_props-string"],
+    )
+    def test_gen_network_params_are_not_coerced(self, tmp_path, capsys, params):
+        # a lenient reader would run these as 12 UAVs, a 1 m area and 4 propellers
+        path = write_json(tmp_path / "p.json", params)
+        out = tmp_path / "net.json"
+        assert main(["gen-network", "--params", path, "--seed", "1", "--out", str(out)]) == 2
+        assert "network params" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("id", 2.5), ("x", True), ("mass_kg", "1.0")])
+    def test_gen_instance_network_uav_is_not_coerced(self, tmp_path, capsys, key, value):
+        net, _, _ = gen_toy_files(tmp_path)
+        doc = json.loads(net.read_text())
+        doc["uavs"][2][key] = value
+        bad = write_json(tmp_path / "bad.json", doc)
+        out = tmp_path / "o.json"
+        code = main(["gen-instance", "--network", bad, "--flows", "2", "--retired", "1", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert f"uav #2 {key}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "route,code", [([0, 1, 2], 0), ([0, 1, 999], 2), ([0, 2], 2)], ids=["path", "unknown-uav", "no-link"]

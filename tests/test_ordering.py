@@ -23,7 +23,7 @@ from uavsched.ordering import (
     schedule_to_canonical_order,
     validate_total_order,
 )
-from uavsched.sched import exact_schedule_dp
+from uavsched.sched import exact_schedule, exact_schedule_dp
 
 from helpers import feasible_sequences, reference_instance, random_instance
 
@@ -382,3 +382,11 @@ class TestMilpSolver:
             inst = random_instance(rng, max_n=8)
             optimum = milp_optimum(lp_text(build_ilp(inst)))
             assert optimum == pytest.approx(exact_schedule_dp(inst).energy, rel=1e-9)
+
+    def test_uav_side_instances_match_exact_schedule(self):
+        rng = random.Random(9)
+        for _ in range(5):
+            inst = random_instance(rng, max_n=8, max_m=3, min_n=4)
+            result = exact_schedule(inst)
+            assert result.method == "exact_uav"
+            assert milp_optimum(lp_text(build_ilp(inst))) == pytest.approx(result.energy, rel=1e-9)
