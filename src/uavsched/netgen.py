@@ -274,13 +274,11 @@ def params_to_json(params: NetworkParams) -> dict:
 
 
 def _scalar_fields(cls, data: dict, where: str) -> dict:
-    """The numeric fields of dataclass ``cls`` given in ``data``, each read as the type of its default."""
-    defaults = cls()
-    kinds = {f.name: type(getattr(defaults, f.name)) for f in fields(cls)}
+    """The numeric fields of dataclass ``cls`` given in ``data``, each read as its annotated type."""
     return {
-        name: json_scalar(data[name], kind, f"{where} {name}")
-        for name, kind in kinds.items()
-        if name in data and kind in (int, float)
+        f.name: json_scalar(data[f.name], f.type, f"{where} {f.name}")
+        for f in fields(cls)
+        if f.name in data and f.type in (int, float)
     }
 
 

@@ -12,6 +12,7 @@ small sizes.
 
 from dataclasses import dataclass
 from itertools import permutations
+from operator import add
 import random
 import time
 
@@ -161,65 +162,66 @@ def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_
     return _result(instance, order, "exact_dp", wall)
 
 
-def exact_schedule(instance: ReplacementInstance, max_side: int = EXACT_CAP_DEFAULT) -> SolverResult:
+def exact_schedule(instance: ReplacementInstance) -> SolverResult:
     """Globally optimal schedule via a subset DP over the smaller side.
 
-    With n <= m this is ``exact_schedule_dp(instance, max_flows=max_side)``,
-    method label and tie rule included.  Otherwise the DP runs over UAV
-    subsets U: best(U) = min over j in U of best(U - j) + P_j * T(U), where
-    T(U) is the total handover time of the flows crossing any UAV of U.
+    With n <= m this is ``exact_schedule_dp(instance)``, method label and tie
+    rule included.  Otherwise the DP runs over UAV subsets U: best(U) = min
+    over j in U of best(U - j) + P_j * T(U), where T(U) is the total
+    handover time of the flows crossing any UAV of U, read from a subset sum
+    over the 2^m UAV sets so that neither time nor memory grows with n.
     Tie rule: working back from the full set, the lowest UAV id attaining
     the minimum finishes last; the flows are then handed over block by block
     in that UAV order, each block (the UAV's flows not yet handed over) in
     ascending flow id.  InstanceTooLarge only when both n and m exceed
-    ``max_side``.
+    EXACT_CAP_DEFAULT.
     """
     n, m = instance.n, instance.m
     if n <= m:
-        return exact_schedule_dp(instance, max_flows=max_side)
-    if m > max_side:
+        return exact_schedule_dp(instance)
+    if m > EXACT_CAP_DEFAULT:
         raise InstanceTooLarge(
-            f"exact solver capped at {max_side} flows or UAVs, instance has {n} flows and {m} UAVs"
+            f"exact solver capped at {EXACT_CAP_DEFAULT} flows or UAVs, instance has {n} flows and {m} UAVs"
         )
     start = time.perf_counter()
-    times = instance.times
     powers = instance.powers
-    flow_masks = [sum(1 << i for i in members) for members in instance.flow_sets]
-
     size = 1 << m
-    covered = [0] * size  # mask of the flows crossing U
-    elapsed = [0.0] * size  # T(U)
-    best = [0.0] * size
-    last = [0] * size  # the UAV that finishes last in an optimal order of U
+    full = size - 1
+
+    # inside[S]: total handover time of the flows whose UAVs all lie in S,
+    # so the flows crossing U take T(U) = inside[full] - inside[full ^ U]
+    inside = [0.0] * size
+    for flow, t in zip(instance.flows, instance.times):
+        inside[sum(1 << j for j in flow.retired_set)] += t
+    for j in range(m):
+        half = 1 << j
+        for base in range(half, size, 2 * half):
+            inside[base:base + half] = map(add, inside[base:base + half], inside[base - half:base])
+    total = inside[full]
+
     inf = float("inf")
+    best = [0.0] * size
     for state in range(1, size):
-        low = state & -state
-        rest = state ^ low
-        covered[state] = covered[rest] | flow_masks[low.bit_length() - 1]
-        t = elapsed[rest]
-        new = covered[state] & ~covered[rest]
-        while new:
-            bit = new & -new
-            t += times[bit.bit_length() - 1]
-            new ^= bit
-        elapsed[state] = t
-        value, choice = inf, -1
+        t = total - inside[full ^ state]
+        value = inf
         bits = state
         while bits:
             bit = bits & -bits
-            j = bit.bit_length() - 1
-            cand = best[state ^ bit] + powers[j] * t
+            cand = best[state ^ bit] + powers[bit.bit_length() - 1] * t
             if cand < value:
-                value, choice = cand, j
+                value = cand
             bits ^= bit
         best[state] = value
-        last[state] = choice
 
     uav_order = []
-    state = size - 1
+    state = full
     while state:
-        uav_order.append(last[state])
-        state ^= 1 << last[state]
+        t = total - inside[full ^ state]
+        last = next(
+            j for j in range(m) if state >> j & 1 and best[state ^ (1 << j)] + powers[j] * t == best[state]
+        )
+        uav_order.append(last)
+        state ^= 1 << last
     # each flow is handed over in the block of the first UAV it crosses
     order = list(dict.fromkeys(i for j in reversed(uav_order) for i in instance.flow_sets[j]))
     wall = time.perf_counter() - start

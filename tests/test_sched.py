@@ -202,10 +202,15 @@ class TestExactSchedule:
             exact_schedule(synthetic_big_instance(EXACT_CAP_DEFAULT + 2, EXACT_CAP_DEFAULT + 1, 4))
         with pytest.raises(InstanceTooLarge):
             exact_schedule(synthetic_big_instance(EXACT_CAP_DEFAULT + 1, EXACT_CAP_DEFAULT + 2, 5))
-        inst = instance_from_parts((0.02,) * 4, ({0}, {1}, {2}, {0, 2}), (10.0, 20.0, 30.0))
-        with pytest.raises(InstanceTooLarge):
-            exact_schedule(inst, max_side=2)
-        assert exact_schedule(inst, max_side=3).method == "exact_uav"
+
+    def test_uav_side_cost_does_not_grow_with_the_flow_count(self):
+        # 20k flows on 16 UAVs: a DP that walked the flows once per UAV
+        # subset would take ~10^9 steps; T(U) from the subset sum takes none
+        inst = synthetic_big_instance(20_000, 16, 6)
+        result = exact_schedule(inst)
+        assert result.method == "exact_uav"
+        assert sorted(result.schedule.order) == list(range(20_000))
+        assert result.energy <= heuristic_schedule(inst).energy
 
 
 class TestBruteForce:
