@@ -1,6 +1,7 @@
 """Exception types raised across the package."""
 
 from contextlib import contextmanager
+import sys
 
 
 class UavschedError(Exception):
@@ -73,8 +74,9 @@ def schema_errors(where: str):
 def json_scalar(value, kind: type, where: str):
     """Read a JSON value as ``kind`` (bool, int or float) without coercion.
 
-    A bool is never read as a number nor a number as a bool, and an int only
-    from a number whose value is integral.
+    A bool is never read as a number nor a number as a bool, an int only
+    from a number whose value is integral, and a float only from a finite
+    number (Python's JSON reader accepts NaN and Infinity).
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is bool:
@@ -83,6 +85,8 @@ def json_scalar(value, kind: type, where: str):
         valid = number and (isinstance(value, int) or value.is_integer())
     else:
         valid = number
+        if number and not abs(value) <= sys.float_info.max:  # NaN fails the comparison too
+            raise ValueError(f"{where}: expected a finite number, got {value!r}")
     if not valid:
         raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
     return kind(value)

@@ -18,7 +18,14 @@ import math
 from pathlib import Path
 
 from .errors import ConfigInvalid, IoFailure, TooFewSamples, json_scalar, schema_errors
-from .model import DEFAULT_TIMINGS, RuleTimings, build_instance, instance_to_json, timings_from_json
+from .model import (
+    DEFAULT_TIMINGS,
+    RuleTimings,
+    build_instance,
+    flow_to_json,
+    instance_to_json,
+    timings_from_json,
+)
 from .netgen import (
     NetworkParams,
     generate_network,
@@ -118,19 +125,55 @@ def _derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
-def _instance_digest(instance) -> str:
-    payload = json.dumps(instance_to_json(instance), sort_keys=True).encode("ascii")
-    return hashlib.blake2b(payload, digest_size=8).hexdigest()
+def _instance_text(instance) -> str:
+    """The text an instance digest hashes: its JSON form with sorted keys."""
+    return json.dumps(instance_to_json(instance), sort_keys=True)
 
 
-def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, retired, k: int):
-    if config.resample_retired_per_iteration:
+class _CellMemo:
+    """What one sweep cell derives once, while its retiring set stays fixed.
+
+    ``cache`` is build_instance's route cache.  With the timings fixed, a
+    flow's entry in ``_instance_text`` depends on its handover time, UAV set
+    and rule counts alone but for the flow id, so ``fragments`` keeps each
+    such entry as the text before and after the id.  With the retiring set
+    fixed too, ``tail``, the text after the flows, is the same for every
+    instance of the cell.
+    """
+
+    def __init__(self):
+        self.cache = {}
+        self.fragments = {}
+        self.tail = None
+
+    def instance_text(self, instance) -> str:
+        """``_instance_text(instance)``, assembled from the fragments."""
+        if self.tail is None:
+            doc = instance_to_json(instance)
+            del doc["flows"]
+            self.tail = json.dumps(doc, sort_keys=True)[1:]
+        fragments = self.fragments
+        parts = []
+        for flow in instance.flows:
+            key = (flow.handover_time, flow.retired_set, flow.rule_counts)
+            fragment = fragments.get(key)
+            if fragment is None:
+                head, id_key, rest = json.dumps(flow_to_json(flow), sort_keys=True).partition('"id": ')
+                fragment = fragments[key] = (head + id_key, rest[len(str(flow.id)):])
+            parts.append(f"{fragment[0]}{flow.id}{fragment[1]}")
+        return '{"flows": [' + ", ".join(parts) + "], " + self.tail
+
+
+def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, retired, k: int, memo: _CellMemo | None):
+    """One iteration's instance digest and method outcomes; ``memo`` is None when retired is resampled."""
+    if memo is None:
         rng = random.Random(_derive_seed(config.master_seed, "retired", n_f, m, k))
         retired = sample_retired_set(net, m, rng)
     flow_rng = random.Random(_derive_seed(config.master_seed, "flows", n_f, m, k))
     routes = sample_flow_routes(net, retired, n_f, flow_rng)
-    build = build_instance(routes, [(u, net.hover_powers[u]) for u in sorted(retired)], config.timings)
-    instance = build.instance
+    uavs = [(u, net.hover_powers[u]) for u in sorted(retired)]
+    instance = build_instance(routes, uavs, config.timings, cache=None if memo is None else memo.cache).instance
+    text = _instance_text(instance) if memo is None else memo.instance_text(instance)
     outcomes = {}
     for method in config.methods:
         if method == "heuristic":
@@ -143,7 +186,7 @@ def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, retired, k: 
                 continue
             result = exact_schedule_dp(instance, max_flows=config.exact_cap)
         outcomes[method] = (result.energy, result.wall_time)
-    return _instance_digest(instance), outcomes
+    return hashlib.blake2b(text.encode("ascii"), digest_size=8).hexdigest(), outcomes
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
@@ -160,7 +203,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
             retired = sample_retired_set(
                 net, m, random.Random(_derive_seed(config.master_seed, "retired", n_f, m))
             )
-            iterations = [_run_iteration(config, net, n_f, m, retired, k) for k in range(config.iterations)]
+            memo = None if config.resample_retired_per_iteration else _CellMemo()
+            iterations = [_run_iteration(config, net, n_f, m, retired, k, memo) for k in range(config.iterations)]
             digests[(n_f, m)] = tuple(digest for digest, _ in iterations)
             for method in config.methods:
                 samples = []
@@ -189,6 +233,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
                 cells.append(cell)
                 if progress is not None:
                     progress(cell)
+            del iterations, memo  # freed before the next cell fills its own
     return ExperimentResult(config=config, cells=tuple(cells), instance_digests=digests)
 
 

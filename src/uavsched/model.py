@@ -274,7 +274,23 @@ class InstanceBuild:
     uav_ids: tuple[int, ...]
 
 
-def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS) -> InstanceBuild:
+# build_instance keeps the retiring set and timings a cache was filled for under this key
+_FILLED_FOR = object()
+_UNSEEN = object()
+
+
+def _route_entry(fid, nodes: tuple, retired_ids: set, dense_of_uav: dict, timings: RuleTimings):
+    """What a route derives to under a retiring set, or None when it misses the set."""
+    if len(nodes) < 2 or len(set(nodes)) != len(nodes):
+        raise ValueError(f"flow {fid}: route must contain at least two distinct nodes, got {list(nodes)!r}")
+    hit = retired_ids.intersection(nodes)
+    if not hit:
+        return None
+    counts = rule_counts_from_route(nodes, retired_ids)
+    return handover_time(counts, timings), frozenset(dense_of_uav[u] for u in hit), counts
+
+
+def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, cache=None) -> InstanceBuild:
     """Derive a replacement instance from routed flows and a retiring set.
 
     ``flows`` is a sequence of (flow_id, route) pairs, ``retired_uavs`` a
@@ -282,6 +298,13 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS) 
     retiring UAV are dropped; surviving identifiers are re-densified in
     input order (flows) and ascending id order (UAVs), with the original
     ids returned alongside.
+
+    ``cache``, a dict the caller creates empty and passes to every call with
+    the same retiring set and timings, maps each route seen to
+    ``(handover_time, retired_set, rule_counts)``, or to None when the route
+    misses the retiring set.  A route is checked once, when its entry is
+    made.  The cache remembers the retiring set and timings it was filled
+    for; other ones raise ValueError.
     """
     flows = list(flows)
     retired_uavs = sorted(retired_uavs, key=lambda item: item[0])
@@ -290,6 +313,11 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS) 
     uav_original = [uid for uid, _ in retired_uavs]
     if len(set(uav_original)) != len(uav_original):
         raise ValueError(f"retiring UAV ids must be unique, got {uav_original!r}")
+    if cache is None:
+        cache = {}
+    filled_for = (tuple(map(tuple, retired_uavs)), timings)
+    if cache.setdefault(_FILLED_FOR, filled_for) != filled_for:
+        raise ValueError("route cache was filled for another retiring set or other timings")
     dense_of_uav = {uid: j for j, uid in enumerate(uav_original)}
     retired_ids = set(uav_original)
 
@@ -300,20 +328,15 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS) 
         if fid in seen_flow_ids:
             raise ValueError(f"duplicate flow id {fid!r}")
         seen_flow_ids.add(fid)
-        nodes = list(route)
-        if len(nodes) < 2 or len(set(nodes)) != len(nodes):
-            raise ValueError(f"flow {fid}: route must contain at least two distinct nodes, got {nodes!r}")
-        hit = retired_ids.intersection(nodes)
-        if not hit:
+        nodes = tuple(route)
+        entry = cache.get(nodes, _UNSEEN)
+        if entry is _UNSEEN:
+            entry = cache[nodes] = _route_entry(fid, nodes, retired_ids, dense_of_uav, timings)
+        if entry is None:
             continue
-        counts = rule_counts_from_route(nodes, retired_ids)
+        t, retired_set, counts = entry
         kept_specs.append(
-            FlowSpec(
-                id=len(kept_specs),
-                handover_time=handover_time(counts, timings),
-                retired_set=frozenset(dense_of_uav[u] for u in hit),
-                rule_counts=counts,
-            )
+            FlowSpec(id=len(kept_specs), handover_time=t, retired_set=retired_set, rule_counts=counts)
         )
         kept_original.append(fid)
 
@@ -322,22 +345,24 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS) 
     return InstanceBuild(instance=instance, flow_ids=tuple(kept_original), uav_ids=tuple(uav_original))
 
 
+def flow_to_json(flow: FlowSpec) -> dict:
+    """One flow's entry in the abstract-instance JSON form."""
+    entry = {
+        "id": flow.id,
+        "t_ms": flow.handover_time * 1000.0,
+        "delta": sorted(flow.retired_set),
+    }
+    if flow.rule_counts is not None:
+        counts = flow.rule_counts
+        entry["rule_counts"] = {"r_del": counts.r_del, "r_ins": counts.r_ins, "r_mod": counts.r_mod}
+    return entry
+
+
 def instance_to_json(instance: ReplacementInstance) -> dict:
     """Abstract-instance JSON form (times in milliseconds)."""
-    flows = []
-    for flow in instance.flows:
-        entry = {
-            "id": flow.id,
-            "t_ms": flow.handover_time * 1000.0,
-            "delta": sorted(flow.retired_set),
-        }
-        if flow.rule_counts is not None:
-            counts = flow.rule_counts
-            entry["rule_counts"] = {"r_del": counts.r_del, "r_ins": counts.r_ins, "r_mod": counts.r_mod}
-        flows.append(entry)
     return {
         "timings": timings_to_json(instance.timings),
-        "flows": flows,
+        "flows": [flow_to_json(flow) for flow in instance.flows],
         "uavs": [{"id": j, "p_watts": power} for j, power in enumerate(instance.powers)],
     }
 

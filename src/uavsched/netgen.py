@@ -274,7 +274,13 @@ def params_to_json(params: NetworkParams) -> dict:
 
 
 def _scalar_fields(cls, data: dict, where: str) -> dict:
-    """The numeric fields of dataclass ``cls`` given in ``data``, each read as its annotated type."""
+    """The numeric fields of dataclass ``cls`` given in ``data``, each read as its annotated type.
+
+    A key that names no field of ``cls`` is rejected.
+    """
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"{where}: unknown fields {sorted(unknown)}")
     return {
         f.name: json_scalar(data[f.name], f.type, f"{where} {f.name}")
         for f in fields(cls)

@@ -266,6 +266,39 @@ class TestMalformedFields:
         assert "network params" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"area_side": float("inf")}, {"mass_choices": [float("nan")]}, {"common_altitude": float("inf")}],
+        ids=["area_side-infinity", "mass_choices-nan", "common_altitude-infinity"],
+    )
+    def test_gen_network_params_must_be_finite(self, tmp_path, capsys, params):
+        # Python's JSON reader accepts Infinity and NaN; they used to end in a
+        # traceback, a network file full of NaN tokens, and a silent success
+        path = write_json(tmp_path / "p.json", params)
+        out = tmp_path / "net.json"
+        assert main(["gen-network", "--params", path, "--seed", "1", "--out", str(out)]) == 2
+        assert f"{next(iter(params))}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "params,where",
+        [({"num_uav": 5}, "network params"), ({"hover": {"bogus": 1}}, "network params hover")],
+        ids=["top-level", "hover"],
+    )
+    def test_gen_network_unknown_params_key_rejected(self, tmp_path, capsys, params, where):
+        path = write_json(tmp_path / "p.json", params)
+        out = tmp_path / "net.json"
+        assert main(["gen-network", "--params", path, "--seed", "1", "--out", str(out)]) == 2
+        assert f"{where}: unknown fields" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_experiment_config_unknown_network_key_rejected(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"network": {"num_uavs": 20, "area_sides": 140.0}})
+        csv_path = tmp_path / "out.csv"
+        assert main(["experiment", "--config", cfg, "--csv", str(csv_path)]) == 2
+        assert "unknown fields ['area_sides']" in capsys.readouterr().err
+        assert not csv_path.exists()
+
     @pytest.mark.parametrize("key,value", [("id", 2.5), ("x", True), ("mass_kg", "1.0")])
     def test_gen_instance_network_uav_is_not_coerced(self, tmp_path, capsys, key, value):
         net, _, _ = gen_toy_files(tmp_path)

@@ -1,10 +1,14 @@
 """Tests for the Monte Carlo harness: statistics, pairing, CSV and SVG output."""
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 import re
 
 import pytest
 
+from uavsched import experiment
 from uavsched.errors import ConfigInvalid, TooFewSamples
 from uavsched.experiment import (
     CellStats,
@@ -19,6 +23,13 @@ from uavsched.experiment import (
     write_csv,
 )
 from uavsched.netgen import NetworkParams
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def script_config(name: str, **overrides) -> ExperimentConfig:
+    return dataclasses.replace(config_from_json(json.loads((SCRIPTS / name).read_text())), **overrides)
 
 
 def desk_config(**overrides) -> ExperimentConfig:
@@ -265,3 +276,61 @@ class TestPaperScaleTrends:
                 assert means[(method, n_f, 10)] > means[(method, n_f, 5)]
             for m in (5, 10):
                 assert means[(method, 100, m)] > means[(method, 70, m)]
+
+
+def sweep_fingerprint(config: ExperimentConfig) -> tuple[str, str]:
+    """SHA-256 of the results CSV with the runtime column cut, and of every instance digest in order."""
+    result = run_experiment(config)
+    masked = "\n".join(line.rpartition(",")[0] for line in csv_text(result.cells).splitlines())
+    digests = "\n".join(
+        f"{n_f},{m}:{digest}" for (n_f, m), cell in sorted(result.instance_digests.items()) for digest in cell
+    )
+    return hashlib.sha256(masked.encode("ascii")).hexdigest(), hashlib.sha256(digests.encode("ascii")).hexdigest()
+
+
+class TestCellMemo:
+    def test_fragment_text_equals_the_plain_json_on_every_iteration(self, monkeypatch):
+        # the digest text assembled from per-flow fragments must be the
+        # very bytes of json.dumps(instance_to_json(instance), sort_keys=True)
+        assembled = experiment._CellMemo.instance_text
+        seen = []
+
+        def checked(memo, instance):
+            text = assembled(memo, instance)
+            assert text == json.dumps(experiment.instance_to_json(instance), sort_keys=True)
+            seen.append(instance.n)
+            return text
+
+        monkeypatch.setattr(experiment._CellMemo, "instance_text", checked)
+        config = script_config("full_sweep.json", iterations=3)
+        run_experiment(config)
+        assert len(seen) == 3 * len(config.n_flows_list) * len(config.m_list)
+        assert min(seen) > 0
+
+    def test_resampled_retiring_sets_bypass_the_memo(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(experiment._CellMemo, "__init__", lambda memo: made.append(memo))
+        run_experiment(desk_config(resample_retired_per_iteration=True))
+        assert made == []
+
+    @pytest.mark.parametrize(
+        "name,overrides,csv_sha256,digests_sha256",
+        [
+            (
+                "desk.json",
+                {},
+                "c6fbb0d481f489cbe218d506a998926344778203032e3976810a290fd810862c",
+                "4a59505592f319227c04539b111b262961514f191009e3f9d7ec2f881e5a2e00",
+            ),
+            (
+                "full_sweep.json",
+                {"iterations": 3},
+                "c90dc301210dac47a0dca3c1e369fab09b13f8700edafedefdf5bb739d212f5d",
+                "e7f4331ec9b9221dff0d99d51ebd80f8e5f2a1273f55c3a512f346c3d8ff1ed0",
+            ),
+        ],
+        ids=["desk", "full_sweep-3-iterations"],
+    )
+    def test_outputs_match_the_values_recorded_before_the_memo(self, name, overrides, csv_sha256, digests_sha256):
+        # recorded on the code that built every instance and its digest text from scratch
+        assert sweep_fingerprint(script_config(name, **overrides)) == (csv_sha256, digests_sha256)

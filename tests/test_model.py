@@ -11,6 +11,7 @@ from uavsched.errors import (
     EndpointRetired,
     InvalidInstance,
     InvalidSchedule,
+    SamplingExhausted,
 )
 from uavsched.model import (
     DEFAULT_TIMINGS,
@@ -26,6 +27,7 @@ from uavsched.model import (
     instance_to_json,
     rule_counts_from_route,
 )
+from uavsched.netgen import NetworkParams, generate_network, sample_flow_routes, sample_retired_set
 
 from helpers import ROUTED_EXAMPLE_ROUTES, ROUTED_EXAMPLE_RETIRED, reference_instance, random_instance
 
@@ -153,6 +155,59 @@ class TestBuildInstance:
         for uav in inst.uavs:
             for i in uav.flow_set:
                 assert uav.id in inst.flows[i].retired_set
+
+
+class TestRouteCache:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_uavs=st.integers(8, 30),
+        m=st.integers(0, 6),
+        timings=st.sampled_from([DEFAULT_TIMINGS, RuleTimings(0.003, 0.007, 0.011)]),
+    )
+    def test_shared_cache_gives_the_uncached_builds(self, seed, num_uavs, m, timings):
+        rng = random.Random(seed)
+        net = generate_network(NetworkParams(num_uavs=num_uavs, area_side=150.0), seed=seed)
+        retired = sample_retired_set(net, m, rng)
+        uavs = [(u, net.hover_powers[u]) for u in sorted(retired)]
+        cache = {}
+        for _ in range(5):
+            try:
+                routes = sample_flow_routes(net, retired, rng.randint(1, 40), rng, max_attempts=50)
+            except SamplingExhausted:
+                return
+            # a route given as a list shares its entry with the same route as a tuple
+            routes = [(fid, list(route) if fid % 3 == 0 else route) for fid, route in routes]
+            assert build_instance(routes, uavs, timings, cache=cache) == build_instance(routes, uavs, timings)
+
+    def test_reuse_with_another_retiring_set_or_timings_is_refused(self):
+        routes = [(0, (5, 1, 6)), (1, (5, 6))]
+        cache = {}
+        build_instance(routes, [(1, 10.0)], cache=cache)
+        build_instance(routes, [(1, 10.0)], DEFAULT_TIMINGS, cache=cache)
+        for uavs, timings in [
+            ([(2, 10.0)], DEFAULT_TIMINGS),
+            ([(1, 10.0), (2, 10.0)], DEFAULT_TIMINGS),
+            ([(1, 20.0)], DEFAULT_TIMINGS),
+            ([(1, 10.0)], RuleTimings(tau_mod=0.02)),
+        ]:
+            with pytest.raises(ValueError, match="another retiring set or other timings"):
+                build_instance(routes, uavs, timings, cache=cache)
+
+    def test_a_route_with_a_repeated_node_is_rejected_on_first_sight(self):
+        cache = {}
+        build_instance([(0, (5, 1, 6))], [(1, 10.0)], cache=cache)
+        for bad in [(5, 1, 5, 6), (7, 8, 7)]:  # crossing and missing the retiring set
+            for _ in range(2):
+                with pytest.raises(ValueError, match="two distinct nodes"):
+                    build_instance([(0, (5, 1, 6)), (1, bad)], [(1, 10.0)], cache=cache)
+            assert bad not in cache
+
+    def test_duplicate_flow_ids_are_caught_on_cached_routes(self):
+        cache = {}
+        build_instance([(0, (5, 1, 6))], [(1, 10.0)], cache=cache)
+        with pytest.raises(ValueError, match="duplicate flow id"):
+            build_instance([(0, (5, 1, 6)), (0, (5, 1, 6))], [(1, 10.0)], cache=cache)
 
 
 class TestInstanceInvariants:
