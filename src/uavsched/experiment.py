@@ -125,17 +125,12 @@ def _derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
-def _instance_text(instance) -> str:
-    """The text an instance digest hashes: its JSON form with sorted keys."""
-    return json.dumps(instance_to_json(instance), sort_keys=True)
-
-
 class _CellMemo:
     """What one sweep cell derives once, while its retiring set stays fixed.
 
     ``cache`` is build_instance's route cache.  With the timings fixed, a
-    flow's entry in ``_instance_text`` depends on its handover time, UAV set
-    and rule counts alone but for the flow id, so ``fragments`` keeps each
+    flow's entry in the instance's JSON text depends on its handover time,
+    UAV set and rule counts alone but for the flow id, so ``fragments`` keeps each
     such entry as the text before and after the id.  With the retiring set
     fixed too, ``tail``, the text after the flows, is the same for every
     instance of the cell.
@@ -147,7 +142,7 @@ class _CellMemo:
         self.tail = None
 
     def instance_text(self, instance) -> str:
-        """``_instance_text(instance)``, assembled from the fragments."""
+        """``json.dumps(instance_to_json(instance), sort_keys=True)``, assembled from the fragments."""
         if self.tail is None:
             doc = instance_to_json(instance)
             del doc["flows"]
@@ -164,16 +159,17 @@ class _CellMemo:
         return '{"flows": [' + ", ".join(parts) + "], " + self.tail
 
 
-def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, retired, k: int, memo: _CellMemo | None):
-    """One iteration's instance digest and method outcomes; ``memo`` is None when retired is resampled."""
-    if memo is None:
+def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, retired, k: int, memo: _CellMemo):
+    """One iteration's instance digest and method outcomes; a resampled retiring set gets a fresh memo."""
+    if config.resample_retired_per_iteration:
         rng = random.Random(_derive_seed(config.master_seed, "retired", n_f, m, k))
         retired = sample_retired_set(net, m, rng)
+        memo = _CellMemo()
     flow_rng = random.Random(_derive_seed(config.master_seed, "flows", n_f, m, k))
     routes = sample_flow_routes(net, retired, n_f, flow_rng)
     uavs = [(u, net.hover_powers[u]) for u in sorted(retired)]
-    instance = build_instance(routes, uavs, config.timings, cache=None if memo is None else memo.cache).instance
-    text = _instance_text(instance) if memo is None else memo.instance_text(instance)
+    instance = build_instance(routes, uavs, config.timings, cache=memo.cache).instance
+    text = memo.instance_text(instance)
     outcomes = {}
     for method in config.methods:
         if method == "heuristic":
@@ -203,7 +199,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
             retired = sample_retired_set(
                 net, m, random.Random(_derive_seed(config.master_seed, "retired", n_f, m))
             )
-            memo = None if config.resample_retired_per_iteration else _CellMemo()
+            memo = _CellMemo()
             iterations = [_run_iteration(config, net, n_f, m, retired, k, memo) for k in range(config.iterations)]
             digests[(n_f, m)] = tuple(digest for digest, _ in iterations)
             for method in config.methods:
@@ -233,7 +229,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
                 cells.append(cell)
                 if progress is not None:
                     progress(cell)
-            del iterations, memo  # freed before the next cell fills its own
     return ExperimentResult(config=config, cells=tuple(cells), instance_digests=digests)
 
 

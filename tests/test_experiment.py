@@ -289,7 +289,8 @@ def sweep_fingerprint(config: ExperimentConfig) -> tuple[str, str]:
 
 
 class TestCellMemo:
-    def test_fragment_text_equals_the_plain_json_on_every_iteration(self, monkeypatch):
+    @pytest.mark.parametrize("resample", [False, True], ids=["fixed-retiring-set", "resampled-retiring-sets"])
+    def test_fragment_text_equals_the_plain_json_on_every_iteration(self, monkeypatch, resample):
         # the digest text assembled from per-flow fragments must be the
         # very bytes of json.dumps(instance_to_json(instance), sort_keys=True)
         assembled = experiment._CellMemo.instance_text
@@ -302,16 +303,34 @@ class TestCellMemo:
             return text
 
         monkeypatch.setattr(experiment._CellMemo, "instance_text", checked)
-        config = script_config("full_sweep.json", iterations=3)
+        config = script_config("full_sweep.json", iterations=3, resample_retired_per_iteration=resample)
         run_experiment(config)
         assert len(seen) == 3 * len(config.n_flows_list) * len(config.m_list)
         assert min(seen) > 0
 
-    def test_resampled_retiring_sets_bypass_the_memo(self, monkeypatch):
-        made = []
-        monkeypatch.setattr(experiment._CellMemo, "__init__", lambda memo: made.append(memo))
-        run_experiment(desk_config(resample_retired_per_iteration=True))
-        assert made == []
+    @pytest.mark.parametrize("resample", [False, True], ids=["fixed-retiring-set", "resampled-retiring-sets"])
+    def test_route_cache_lives_as_long_as_the_retiring_set(self, monkeypatch, resample):
+        # one cache per cell when the retiring set is fixed, a fresh one per
+        # iteration when it is resampled
+        caches = []
+        build = experiment.build_instance
+
+        def recorded(routes, uavs, timings, cache):
+            caches.append((cache, len(cache)))
+            return build(routes, uavs, timings, cache=cache)
+
+        monkeypatch.setattr(experiment, "build_instance", recorded)
+        config = desk_config(resample_retired_per_iteration=resample)
+        run_experiment(config)
+        cells = len(config.n_flows_list) * len(config.m_list)
+        assert len(caches) == cells * config.iterations
+        distinct = {id(cache) for cache, _ in caches}
+        if resample:
+            assert len(distinct) == len(caches)
+            assert all(size == 0 for _, size in caches)
+        else:
+            assert len(distinct) == cells
+            assert [size == 0 for _, size in caches] == [k == 0 for _ in range(cells) for k in range(config.iterations)]
 
     @pytest.mark.parametrize(
         "name,overrides,csv_sha256,digests_sha256",
