@@ -25,6 +25,7 @@ from .errors import (
     IoFailure,
     SamplingExhausted,
     TooFewSamples,
+    write_text,
 )
 
 _INPUT_ERRORS = (
@@ -53,10 +54,7 @@ def _load_json(path):
 
 
 def _write_json(path, payload) -> None:
-    try:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
-    except OSError as exc:
-        raise IoFailure(f"could not write {path}: {exc}") from exc
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n", "JSON")
 
 
 def cmd_gen_network(args) -> int:
@@ -137,8 +135,8 @@ def cmd_experiment(args) -> int:
         result = exp.run_experiment(config, progress=completed.append)
     except KeyboardInterrupt:
         try:
-            Path(csv_path).write_text(exp.INCOMPLETE_MARKER + exp.csv_text(completed), encoding="ascii")
-        except OSError:
+            write_text(csv_path, exp.INCOMPLETE_MARKER + exp.csv_text(completed), "CSV")
+        except IoFailure:
             pass
         print(f"interrupted; {len(completed)} completed cells flushed as incomplete", file=sys.stderr)
         return 130
@@ -155,11 +153,7 @@ def cmd_plot(args) -> int:
     cells = exp.read_csv(args.csv)
     if not cells:
         return _fail(f"CSV {args.csv} contains no data rows", 2)
-    text = exp.svg_text(cells, args.metric)
-    try:
-        Path(args.out).write_text(text, encoding="ascii")
-    except OSError as exc:
-        raise IoFailure(f"could not write SVG {args.out}: {exc}") from exc
+    write_text(args.out, exp.svg_text(cells, args.metric), "SVG")
     print(f"wrote {args.metric} chart to {args.out}", file=sys.stderr)
     return 0
 

@@ -1,6 +1,9 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the file and JSON
+boundary helpers that raise them."""
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+import os
+from pathlib import Path
 import sys
 
 
@@ -90,3 +93,25 @@ def json_scalar(value, kind: type, where: str):
     if not valid:
         raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
     return kind(value)
+
+
+def write_text(destination, text: str, what: str) -> None:
+    """Write ``text`` to ``destination`` as ASCII, all at once or not at all.
+
+    The text goes to a temporary file in the destination's directory, which
+    then replaces the destination, so an existing file is never left half
+    written.  An OSError becomes IoFailure; the temporary file is removed on
+    any failure.
+    """
+    path = Path(destination)
+    temporary = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "x", encoding="ascii") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.unlink(temporary)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"could not write {what} {destination}: {exc}") from exc
+        raise

@@ -17,7 +17,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import ConfigInvalid, IoFailure, TooFewSamples, json_scalar, schema_errors
+from .errors import ConfigInvalid, IoFailure, TooFewSamples, json_scalar, schema_errors, write_text
 from .model import (
     DEFAULT_TIMINGS,
     RuleTimings,
@@ -260,39 +260,54 @@ def csv_text(cells) -> str:
 
 def write_csv(result: ExperimentResult, destination) -> str:
     text = csv_text(result.cells)
-    try:
-        Path(destination).write_text(text, encoding="ascii")
-    except OSError as exc:
-        raise IoFailure(f"could not write CSV {destination}: {exc}") from exc
+    write_text(destination, text, "CSV")
     return text
+
+
+def _csv_number(row: dict, column: str, kind: type, where: str):
+    """One CSV field read as an int or as a finite float."""
+    text = row[column]
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"{where} {column}: expected {kind.__name__}, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where} {column}: expected a finite number, got {text!r}")
+    return value
 
 
 def read_csv(source) -> tuple[CellStats, ...]:
     """Parse a results CSV back into cells (samples are not stored in CSV).
 
-    A CSV flushed by an interrupted run reads as the cells it completed.
+    Every row needs all the columns and no more, integral ``m``, ``n_f``
+    and ``k``, and finite statistics; anything else is a ValueError.  A CSV
+    flushed by an interrupted run reads as the cells it completed.
     """
     try:
         text = Path(source).read_text(encoding="ascii")
     except OSError as exc:
         raise IoFailure(f"could not read CSV {source}: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text.removeprefix(INCOMPLETE_MARKER)))
-    if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
+    rows = csv.reader(io.StringIO(text.removeprefix(INCOMPLETE_MARKER)))
+    if tuple(next(rows, ())) != CSV_COLUMNS:
         raise ValueError(f"CSV columns must be {','.join(CSV_COLUMNS)}")
     cells = []
-    for row in reader:
+    for number, values in enumerate(filter(None, rows), start=1):  # blank lines skipped
+        where = f"CSV data row {number}"
+        if len(values) != len(CSV_COLUMNS):
+            raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(values)}")
+        row = dict(zip(CSV_COLUMNS, values))
         cells.append(
             CellStats(
-                n_f=int(row["n_f"]),
-                m=int(row["m"]),
+                n_f=_csv_number(row, "n_f", int, where),
+                m=_csv_number(row, "m", int, where),
                 method=row["method"],
-                count=int(row["k"]),
+                count=_csv_number(row, "k", int, where),
                 samples=(),
-                mean=float(row["mean_energy_j"]),
-                se=float(row["se_j"]),
-                ci_lo=float(row["ci_lo_j"]),
-                ci_hi=float(row["ci_hi_j"]),
-                mean_runtime_s=float(row["mean_runtime_s"]),
+                mean=_csv_number(row, "mean_energy_j", float, where),
+                se=_csv_number(row, "se_j", float, where),
+                ci_lo=_csv_number(row, "ci_lo_j", float, where),
+                ci_hi=_csv_number(row, "ci_hi_j", float, where),
+                mean_runtime_s=_csv_number(row, "mean_runtime_s", float, where),
             )
         )
     return tuple(cells)
@@ -396,10 +411,7 @@ def svg_text(cells, metric: str) -> str:
 
 def emit_svg(result: ExperimentResult, metric: str, destination) -> str:
     text = svg_text(result.cells, metric)
-    try:
-        Path(destination).write_text(text, encoding="ascii")
-    except OSError as exc:
-        raise IoFailure(f"could not write SVG {destination}: {exc}") from exc
+    write_text(destination, text, "SVG")
     return text
 
 

@@ -220,18 +220,41 @@ def sample_retired_set(net: UavNetwork, count: int, rng: random.Random) -> froze
 def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attempts: int = 1000):
     """Sample flow routes between random non-retiring endpoints.
 
-    Endpoint pairs that turn out unreachable are rejected and redrawn, up to
-    ``max_attempts`` times per flow.
+    ``rng`` is a ``random.Random``.  Each endpoint pair is the one
+    ``rng.sample(candidates, 2)`` returns on CPython 3.10-3.13, drawn from
+    the same ``rng.getrandbits`` calls without that method's per-call
+    overhead, so the draws and the generator's state after them are
+    unchanged.  Endpoint pairs that turn out unreachable are rejected and
+    redrawn, up to ``max_attempts`` times per flow.
     """
     candidates = sorted(set(range(net.num_uavs)) - set(retired))
-    if len(candidates) < 2:
+    c = len(candidates)
+    if c < 2:
         raise SamplingExhausted("fewer than two UAVs remain in service")
+    getrandbits = rng.getrandbits
+    k = c.bit_length()
+    # random.sample draws two from a pool list when it holds at most 21 items,
+    # the size of a small set, and tracks the picks in a set otherwise
+    pool = c <= 21
+    k2 = (c - 1).bit_length()
     routes = []
     for fid in range(n_flows):
         for _ in range(max_attempts):
-            src, dst = rng.sample(candidates, 2)
+            a = getrandbits(k)
+            while a >= c:
+                a = getrandbits(k)
+            if pool:  # b indexes the pool after the last candidate moved into a's place
+                b = getrandbits(k2)
+                while b >= c - 1:
+                    b = getrandbits(k2)
+                if b == a:
+                    b = c - 1
+            else:  # b is redrawn while it is out of range or already picked
+                b = getrandbits(k)
+                while b >= c or b == a:
+                    b = getrandbits(k)
             try:
-                route = shortest_route(net, src, dst)
+                route = shortest_route(net, candidates[a], candidates[b])
             except Unreachable:
                 continue
             routes.append((fid, route))

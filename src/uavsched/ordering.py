@@ -9,9 +9,8 @@ validates candidate orders, and converts between orders and schedules.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import DimensionMismatch, EmptyInstance, InvalidOrder, IoFailure
+from .errors import DimensionMismatch, EmptyInstance, InvalidOrder, write_text
 from .model import ReplacementInstance, Schedule, ensure_valid_schedule
 
 
@@ -177,10 +176,7 @@ def lp_text(model: IlpModel) -> str:
 def export_lp(model: IlpModel, destination) -> str:
     """Write the LP text to a file and return it."""
     text = lp_text(model)
-    try:
-        Path(destination).write_text(text, encoding="ascii")
-    except OSError as exc:
-        raise IoFailure(f"could not write LP file {destination}: {exc}") from exc
+    write_text(destination, text, "LP file")
     return text
 
 

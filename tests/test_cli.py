@@ -1,12 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+from pathlib import Path
 import random
 import re
 
 import pytest
 
 from uavsched.cli import main
+from uavsched.experiment import CSV_COLUMNS
 from uavsched.model import instance_from_parts, instance_to_json
 from uavsched.sched import exact_schedule_dp
 
@@ -444,6 +447,96 @@ class TestExperimentAndPlot:
         assert main(["plot", "--csv", str(tmp_path / "out.csv"), "--metric", "energy", "--out", str(a)]) == 0
         assert main(["plot", "--csv", str(tmp_path / "out.csv"), "--metric", "energy", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "5,70,heuristic,200",  # 4 of the 9 fields
+            "5,70,heuristic,200,10.5,0.1,10.3,10.7,0.001,extra",
+            "5,70,heuristic,200,nan,0.1,10.3,10.7,0.001",
+            "5,70,heuristic,200,10.5,0.1,10.3,inf,0.001",
+            "5.5,70,heuristic,200,10.5,0.1,10.3,10.7,0.001",
+            "5,70,heuristic,two,10.5,0.1,10.3,10.7,0.001",
+        ],
+        ids=["short", "extra-field", "nan-mean", "inf-ci-hi", "fractional-m", "text-k"],
+    )
+    def test_plot_rejects_a_malformed_row(self, tmp_path, capsys, row):
+        good = "5,70,random,200,20.5,0.1,20.3,20.7,0.001"
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"# incomplete\n{','.join(CSV_COLUMNS)}\n{good}\n{row}\n")
+        out = tmp_path / "o.svg"
+        assert main(["plot", "--csv", str(bad), "--metric", "energy", "--out", str(out)]) == 2
+        assert "CSV data row 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def fail_replace_onto(monkeypatch, destination):
+    """Make os.replace onto ``destination`` fail, as a full disk or a vanished directory would."""
+    real = os.replace
+
+    def replace(src, dst):
+        if Path(dst) == destination:
+            raise OSError(28, "No space left on device")
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("command", ["gen-network", "export-ilp", "experiment-csv", "experiment-svg", "plot"])
+    def test_failed_write_leaves_the_destination_and_no_temporary_file(
+        self, tmp_path, monkeypatch, capsys, reference_file, command
+    ):
+        results = tmp_path / "results.csv"
+        results.write_text(f"{','.join(CSV_COLUMNS)}\n5,70,random,200,20.5,0.1,20.3,20.7,0.001\n")
+        cfg = write_json(tmp_path / "cfg.json", DESK_CONFIG)
+        out = tmp_path / "out.file"
+        args = {
+            "gen-network": ["gen-network", "--seed", "1", "--out", str(out)],
+            "export-ilp": ["export-ilp", "--instance", reference_file, "--out", str(out)],
+            "experiment-csv": ["experiment", "--config", cfg, "--csv", str(out)],
+            "experiment-svg": ["experiment", "--config", cfg, "--csv", str(results), "--svg-energy", str(out)],
+            "plot": ["plot", "--csv", str(results), "--metric", "energy", "--out", str(out)],
+        }[command]
+        out.write_text("previous contents\n")
+        before = sorted(tmp_path.iterdir())
+        fail_replace_onto(monkeypatch, out)
+        assert main(args) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_text() == "previous contents\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_missing_directory_gives_exit_3(self, tmp_path):
+        assert main(["gen-network", "--seed", "1", "--out", str(tmp_path / "missing" / "net.json")]) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_removes_its_temporary_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "net.json"
+        out.write_text("previous contents\n")
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["gen-network", "--seed", "1", "--out", str(out)])
+        assert out.read_text() == "previous contents\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_failed_flush_after_interruption_keeps_the_previous_csv(self, tmp_path, monkeypatch):
+        from uavsched import experiment as exp_module
+
+        def interrupt(config, progress=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(exp_module, "run_experiment", interrupt)
+        cfg = write_json(tmp_path / "cfg.json", DESK_CONFIG)
+        target = tmp_path / "partial.csv"
+        target.write_text("previous contents\n")
+        fail_replace_onto(monkeypatch, target)
+        assert main(["experiment", "--config", cfg, "--csv", str(target)]) == 130
+        assert target.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "partial.csv"]
 
 
 class TestRoundTrip:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavsched import netgen
 from uavsched.errors import NonPositiveDistance, SamplingExhausted, Unreachable
 from uavsched.netgen import (
     HoverParams,
@@ -21,6 +22,7 @@ from uavsched.netgen import (
     network_to_json,
     params_from_json,
     path_loss,
+    sample_flow_routes,
     sample_scenario,
     scenario_from_json,
     scenario_to_json,
@@ -336,6 +338,99 @@ class TestSampleScenario:
         net = generate_network(NetworkParams(num_uavs=10, area_side=60.0), seed=4)
         with pytest.raises(ValueError):
             sample_scenario(net, 2, 10, seed=1)
+
+
+def seed_sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attempts: int = 1000):
+    """The original sampler, one rng.sample per draw, kept verbatim as the draw oracle."""
+    candidates = sorted(set(range(net.num_uavs)) - set(retired))
+    if len(candidates) < 2:
+        raise SamplingExhausted("fewer than two UAVs remain in service")
+    routes = []
+    for fid in range(n_flows):
+        for _ in range(max_attempts):
+            src, dst = rng.sample(candidates, 2)
+            try:
+                route = shortest_route(net, src, dst)
+            except Unreachable:
+                continue
+            routes.append((fid, route))
+            break
+        else:
+            raise SamplingExhausted(
+                f"could not route flow {fid} after {max_attempts} attempts; network too sparse"
+            )
+    return tuple(routes)
+
+
+def sampling_outcome(sampler, net, retired, n_flows, seed, max_attempts):
+    """The routes or the SamplingExhausted message, and the generator's next random()."""
+    rng = random.Random(seed)
+    try:
+        outcome = sampler(net, retired, n_flows, rng, max_attempts)
+    except SamplingExhausted as exc:
+        outcome = str(exc)
+    return outcome, rng.random()
+
+
+class TestFlowRouteDraw:
+    # random.sample switches from its pool branch to its set branch past 21
+    # candidates; 2 is the smallest pool
+    @settings(max_examples=150, deadline=None)
+    @given(
+        candidates=st.integers(2, 45),
+        extra=st.integers(0, 4),
+        area_side=st.sampled_from([60.0, 150.0, 400.0, 3000.0]),
+        net_seed=st.integers(0, 10**6),
+        seed=st.integers(0, 2**32),
+        n_flows=st.integers(1, 40),
+        max_attempts=st.sampled_from([1, 2, 5, 1000]),
+    )
+    def test_draws_equal_random_sample(self, candidates, extra, area_side, net_seed, seed, n_flows, max_attempts):
+        net = generate_network(NetworkParams(num_uavs=candidates + extra, area_side=area_side), seed=net_seed)
+        retired = frozenset(random.Random(net_seed).sample(range(net.num_uavs), extra))
+        assert sampling_outcome(sample_flow_routes, net, retired, n_flows, seed, max_attempts) == sampling_outcome(
+            seed_sample_flow_routes, net, retired, n_flows, seed, max_attempts
+        )
+
+    @pytest.mark.parametrize("candidates", [2, 3, 21, 22, 45])
+    def test_rejections_and_exhaustion_equal_random_sample(self, candidates):
+        # 6 rows 60 m apart: the first 3 UAVs of a row are linked, the other 5
+        # isolated; the candidates alternate between the two, so draws are rejected
+        net = network_from_layout(
+            NetworkParams(num_uavs=48, area_side=500.0),
+            [(col * (40.0 if col < 3 else 60.0), row * 60.0) for row in range(6) for col in range(8)],
+            [1.0] * 48,
+        )
+        linked = [u for u in range(48) if u % 8 < 3]
+        isolated = [u for u in range(48) if u % 8 >= 3]
+        alternating = [u for pair in zip(linked, isolated) for u in pair] + isolated[len(linked):]
+        retired = frozenset(alternating[candidates:])
+        for seed in range(20):
+            for max_attempts in (1, 3, 1000):
+                got = sampling_outcome(sample_flow_routes, net, retired, 30, seed, max_attempts)
+                assert got == sampling_outcome(seed_sample_flow_routes, net, retired, 30, seed, max_attempts)
+
+    def test_one_route_lookup_per_draw(self, monkeypatch):
+        net = generate_network(SPARSE, seed=4)
+        retired = frozenset({2, 4, 18})
+        calls = []
+
+        def counted(net_, src, dst):
+            try:
+                route = shortest_route(net_, src, dst)
+            except Unreachable:
+                calls.append(((src, dst), False))
+                raise
+            calls.append(((src, dst), True))
+            return route
+
+        monkeypatch.setattr(netgen, "shortest_route", counted)
+        routes = sample_flow_routes(net, retired, 40, random.Random(3))
+        rng = random.Random(3)
+        candidates = sorted(set(range(net.num_uavs)) - retired)
+        assert [pair for pair, _ in calls] == [tuple(rng.sample(candidates, 2)) for _ in calls]
+        assert sum(routed for _, routed in calls) == len(routes) == 40
+        assert any(not routed for _, routed in calls)
 
 
 class TestNetworkJson:
