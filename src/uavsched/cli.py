@@ -15,29 +15,7 @@ from pathlib import Path
 
 from . import experiment as exp
 from . import model, netgen, ordering, sched
-from .errors import (
-    ConfigInvalid,
-    EmptyInstance,
-    EndpointRetired,
-    InstanceTooLarge,
-    InvalidInstance,
-    InvalidSchedule,
-    IoFailure,
-    SamplingExhausted,
-    TooFewSamples,
-    write_text,
-)
-
-_INPUT_ERRORS = (
-    ConfigInvalid,
-    EmptyInstance,
-    EndpointRetired,
-    InvalidInstance,
-    InvalidSchedule,
-    SamplingExhausted,
-    TooFewSamples,
-    ValueError,
-)
+from .errors import InstanceTooLarge, IoFailure, UavschedError, write_text
 
 
 def _fail(message: str, code: int) -> int:
@@ -222,10 +200,10 @@ def main(argv=None) -> int:
         return _fail(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", 2)
     except InstanceTooLarge as exc:
         return _fail(str(exc), 4)
-    except _INPUT_ERRORS as exc:
-        return _fail(str(exc), 2)
     except IoFailure as exc:
         return _fail(str(exc), 3)
+    except (UavschedError, ValueError) as exc:
+        return _fail(str(exc), 2)
 
 
 def entrypoint() -> None:

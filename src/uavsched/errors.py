@@ -2,9 +2,12 @@
 boundary helpers that raise them."""
 
 from contextlib import contextmanager, suppress
+from dataclasses import fields, is_dataclass
 import os
 from pathlib import Path
 import sys
+from types import UnionType
+from typing import get_args, get_origin
 
 
 class UavschedError(Exception):
@@ -65,13 +68,15 @@ class ConfigInvalid(UavschedError):
 
 @contextmanager
 def schema_errors(where: str):
-    """Report a missing key or a value of the wrong type in a JSON document as ValueError."""
+    """Report a missing key, a mistyped value or an out-of-range number in a JSON document as ValueError."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{where}: missing field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"{where}: value of the wrong type ({exc})") from exc
+    except OverflowError as exc:
+        raise ValueError(f"{where}: number out of range ({exc})") from exc
 
 
 def json_scalar(value, kind: type, where: str):
@@ -93,6 +98,46 @@ def json_scalar(value, kind: type, where: str):
     if not valid:
         raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
     return kind(value)
+
+
+def dataclass_from_json(cls, data, where: str, **given):
+    """Build dataclass ``cls`` from a JSON object, reading each field as its annotated type.
+
+    ``given`` holds fields the caller has already read.  An omitted field
+    keeps its default and a key that names no field is rejected, at every
+    level.  ``cls`` is constructed once, so its __post_init__ checks the
+    final values.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"{where}: unknown fields {sorted(unknown)}")
+    read = {
+        f.name: _json_value(data[f.name], f.type, f"{where} {f.name}")
+        for f in fields(cls)
+        if f.name in data and f.name not in given
+    }
+    return cls(**read, **given)
+
+
+def _json_value(value, kind, where: str):
+    """Read ``value`` as ``kind``: a dataclass, ``tuple[X, ...]``, ``X | None``, str, or as json_scalar."""
+    if isinstance(kind, UnionType):  # X | None
+        if value is None:
+            return None
+        kind, _ = get_args(kind)
+    if is_dataclass(kind):
+        return dataclass_from_json(kind, value, where)
+    if get_origin(kind) is tuple:  # tuple[X, ...], from a JSON array or a tuple of asdict()
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where}: expected an array, got {value!r}")
+        return tuple(_json_value(item, get_args(kind)[0], where) for item in value)
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{where}: expected a string, got {value!r}")
+        return value
+    return json_scalar(value, kind, where)
 
 
 def write_text(destination, text: str, what: str) -> None:

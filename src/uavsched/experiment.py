@@ -9,7 +9,7 @@ interval.  All randomness derives from the master seed, so results are
 independent of execution order.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 import csv
 import hashlib
 import io
@@ -17,7 +17,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import ConfigInvalid, IoFailure, TooFewSamples, json_scalar, schema_errors, write_text
+from .errors import ConfigInvalid, IoFailure, TooFewSamples, UavschedError, dataclass_from_json, write_text
 from .model import (
     DEFAULT_TIMINGS,
     RuleTimings,
@@ -26,14 +26,8 @@ from .model import (
     instance_to_json,
     timings_from_json,
 )
-from .netgen import (
-    NetworkParams,
-    generate_network,
-    params_from_json,
-    sample_flow_routes,
-    sample_retired_set,
-)
-from .sched import exact_schedule_dp, heuristic_schedule, random_schedule
+from .netgen import NetworkParams, generate_network, sample_flow_routes, sample_retired_set
+from .sched import EXACT_CAP_DEFAULT, exact_schedule_dp, heuristic_schedule, random_schedule
 import random
 
 METHODS = ("exact_dp", "heuristic", "random")
@@ -51,7 +45,7 @@ class ExperimentConfig:
     m_list: tuple[int, ...] = (5, 6, 7, 8, 9, 10)
     iterations: int = 200
     methods: tuple[str, ...] = ("heuristic", "random")
-    exact_cap: int = 22
+    exact_cap: int = EXACT_CAP_DEFAULT
     master_seed: int = 0
     resample_retired_per_iteration: bool = False
     timings: RuleTimings = DEFAULT_TIMINGS
@@ -280,8 +274,10 @@ def read_csv(source) -> tuple[CellStats, ...]:
     """Parse a results CSV back into cells (samples are not stored in CSV).
 
     Every row needs all the columns and no more, integral ``m``, ``n_f``
-    and ``k``, and finite statistics; anything else is a ValueError.  A CSV
-    flushed by an interrupted run reads as the cells it completed.
+    and ``k``, a method of METHODS, ``k`` of at least 2, a non-negative
+    ``se_j`` and finite statistics, and no two rows share (n_f, m, method);
+    anything else is a ValueError.  A CSV flushed by an interrupted run
+    reads as the cells it completed.
     """
     try:
         text = Path(source).read_text(encoding="ascii")
@@ -290,27 +286,31 @@ def read_csv(source) -> tuple[CellStats, ...]:
     rows = csv.reader(io.StringIO(text.removeprefix(INCOMPLETE_MARKER)))
     if tuple(next(rows, ())) != CSV_COLUMNS:
         raise ValueError(f"CSV columns must be {','.join(CSV_COLUMNS)}")
-    cells = []
+    cells = {}
     for number, values in enumerate(filter(None, rows), start=1):  # blank lines skipped
         where = f"CSV data row {number}"
         if len(values) != len(CSV_COLUMNS):
             raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(values)}")
         row = dict(zip(CSV_COLUMNS, values))
-        cells.append(
-            CellStats(
-                n_f=_csv_number(row, "n_f", int, where),
-                m=_csv_number(row, "m", int, where),
-                method=row["method"],
-                count=_csv_number(row, "k", int, where),
-                samples=(),
-                mean=_csv_number(row, "mean_energy_j", float, where),
-                se=_csv_number(row, "se_j", float, where),
-                ci_lo=_csv_number(row, "ci_lo_j", float, where),
-                ci_hi=_csv_number(row, "ci_hi_j", float, where),
-                mean_runtime_s=_csv_number(row, "mean_runtime_s", float, where),
-            )
+        if row["method"] not in METHODS:
+            raise ValueError(f"{where} method: expected one of {METHODS}, got {row['method']!r}")
+        cell = CellStats(
+            n_f=_csv_number(row, "n_f", int, where),
+            m=_csv_number(row, "m", int, where),
+            method=row["method"],
+            count=_csv_number(row, "k", int, where),
+            samples=(),
+            mean=_csv_number(row, "mean_energy_j", float, where),
+            se=_csv_number(row, "se_j", float, where),
+            ci_lo=_csv_number(row, "ci_lo_j", float, where),
+            ci_hi=_csv_number(row, "ci_hi_j", float, where),
+            mean_runtime_s=_csv_number(row, "mean_runtime_s", float, where),
         )
-    return tuple(cells)
+        if cell.count < 2 or cell.se < 0:
+            raise ValueError(f"{where}: expected k >= 2 and se_j >= 0, got {cell.count} and {cell.se!r}")
+        if cells.setdefault((cell.n_f, cell.m, cell.method), cell) is not cell:
+            raise ValueError(f"{where}: repeats the cell n_f={cell.n_f}, m={cell.m}, method={cell.method}")
+    return tuple(cells.values())
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -416,38 +416,11 @@ def emit_svg(result: ExperimentResult, metric: str, destination) -> str:
 
 
 def config_from_json(data: dict) -> ExperimentConfig:
-    """Parse an experiment config; field names mirror ExperimentConfig."""
-    if not isinstance(data, dict):
-        raise ConfigInvalid("experiment config must be a JSON object")
-    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
+    """Parse an experiment config; field names mirror ExperimentConfig, timings are in ms."""
     try:
-        network = params_from_json(data.get("network", {}))
-    except ValueError as exc:
-        raise ConfigInvalid(f"bad network params: {exc}") from exc
-    for key in ("csv_path", "svg_energy_path", "svg_runtime_path"):
-        if not isinstance(data.get(key), (str, type(None))):
-            raise ConfigInvalid(f"'{key}' must be a string or null")
-    defaults = ExperimentConfig(network=network, timings=timings_from_json(data.get("timings", {})))
-
-    def scalar(key, kind):
-        return json_scalar(data.get(key, getattr(defaults, key)), kind, key)
-
-    def int_list(key):
-        return tuple(json_scalar(v, int, key) for v in data.get(key, getattr(defaults, key)))
-
-    with schema_errors("experiment config"):
-        return replace(
-            defaults,
-            n_flows_list=int_list("n_flows_list"),
-            m_list=int_list("m_list"),
-            iterations=scalar("iterations", int),
-            methods=tuple(data.get("methods", defaults.methods)),
-            exact_cap=scalar("exact_cap", int),
-            master_seed=scalar("master_seed", int),
-            resample_retired_per_iteration=scalar("resample_retired_per_iteration", bool),
-            csv_path=data.get("csv_path"),
-            svg_energy_path=data.get("svg_energy_path"),
-            svg_runtime_path=data.get("svg_runtime_path"),
-        )
+        if not isinstance(data, dict):
+            raise ValueError("experiment config must be a JSON object")
+        timings = timings_from_json(data.get("timings", {}))
+        return dataclass_from_json(ExperimentConfig, data, "experiment config", timings=timings)
+    except (ValueError, UavschedError) as exc:
+        raise ConfigInvalid(str(exc)) from exc

@@ -394,16 +394,11 @@ def instance_from_json(data: dict) -> ReplacementInstance:
                 counts = RuleCounts(
                     *(json_scalar(rc[key], int, f"{where} {key}") for key in ("r_del", "r_ins", "r_mod"))
                 )
-            t = json_scalar(entry["t_ms"], float, f"{where} t_ms") / 1000.0 if "t_ms" in entry else None
-        if t is not None:
-            if counts is not None:
-                expected = handover_time(counts, timings)
-                if abs(t - expected) > 1e-9 * max(1.0, abs(expected)):
-                    raise ValueError(f"flow {fid}: t_ms contradicts rule_counts under the given timings")
-        elif counts is not None:
-            t = handover_time(counts, timings)
-        else:
-            raise ValueError(f"flow {fid}: needs 't_ms' or 'rule_counts'")
+                t = handover_time(counts, timings)  # ReplacementInstance checks a given t_ms against it
+            if "t_ms" in entry:
+                t = json_scalar(entry["t_ms"], float, f"{where} t_ms") / 1000.0
+            elif counts is None:
+                raise ValueError(f"flow {fid}: needs 't_ms' or 'rule_counts'")
         flows.append(FlowSpec(id=fid, handover_time=t, retired_set=delta_set, rule_counts=counts))
 
     m = len(raw_uavs)

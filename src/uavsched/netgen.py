@@ -6,12 +6,12 @@ connected when the SNR of their line-of-sight channel clears a threshold.
 Flow routes are minimum-hop paths between random non-retiring endpoints.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 import math
 import random
 
-from .errors import NonPositiveDistance, SamplingExhausted, Unreachable, json_scalar, schema_errors
+from .errors import NonPositiveDistance, SamplingExhausted, Unreachable, dataclass_from_json, json_scalar, schema_errors
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,13 @@ def hover_power(mass: float, hover: HoverParams) -> float:
     if mass < 0:
         raise ValueError(f"mass must be non-negative, got {mass!r}")
     weight = mass * hover.gravity
-    return math.sqrt(weight**3 / (2.0 * math.pi * hover.prop_radius**2 * hover.num_props * hover.air_density))
+    try:
+        power = math.sqrt(weight**3 / (2.0 * math.pi * hover.prop_radius**2 * hover.num_props * hover.air_density))
+    except ArithmeticError:  # an overflow, or a propeller disc area that underflows to zero
+        power = math.inf
+    if not power < math.inf:
+        raise ValueError(f"hover power of a {mass!r} kg UAV is not finite under {hover}")
+    return power
 
 
 def network_from_layout(params: NetworkParams, positions, masses) -> UavNetwork:
@@ -274,68 +280,14 @@ def sample_scenario(net: UavNetwork, n_flows: int, n_retired: int, seed: int):
     return routes, retired
 
 
-def params_to_json(params: NetworkParams) -> dict:
-    return {
-        "num_uavs": params.num_uavs,
-        "area_side": params.area_side,
-        "common_altitude": params.common_altitude,
-        "mass_choices": list(params.mass_choices),
-        "radio": {
-            "carrier_freq": params.radio.carrier_freq,
-            "light_speed": params.radio.light_speed,
-            "tx_power": params.radio.tx_power,
-            "noise_power": params.radio.noise_power,
-            "snr_threshold_db": params.radio.snr_threshold_db,
-        },
-        "hover": {
-            "gravity": params.hover.gravity,
-            "prop_radius": params.hover.prop_radius,
-            "num_props": params.hover.num_props,
-            "air_density": params.hover.air_density,
-        },
-    }
-
-
-def _scalar_fields(cls, data: dict, where: str) -> dict:
-    """The numeric fields of dataclass ``cls`` given in ``data``, each read as its annotated type.
-
-    A key that names no field of ``cls`` is rejected.
-    """
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"{where}: unknown fields {sorted(unknown)}")
-    return {
-        f.name: json_scalar(data[f.name], f.type, f"{where} {f.name}")
-        for f in fields(cls)
-        if f.name in data and f.type in (int, float)
-    }
-
-
 def params_from_json(data: dict) -> NetworkParams:
     """Parse network parameters, filling omitted fields with defaults."""
-    if not isinstance(data, dict):
-        raise ValueError("network params must be an object")
-    radio_data = data.get("radio", {})
-    hover_data = data.get("hover", {})
-    if not isinstance(radio_data, dict) or not isinstance(hover_data, dict):
-        raise ValueError("'radio' and 'hover' must be objects")
-    masses = {}
-    if "mass_choices" in data:
-        if not isinstance(data["mass_choices"], list):
-            raise ValueError("network params mass_choices must be a list")
-        where = "network params mass_choices"
-        masses["mass_choices"] = tuple(json_scalar(m, float, where) for m in data["mass_choices"])
-    return NetworkParams(
-        **_scalar_fields(NetworkParams, data, "network params"),
-        **masses,
-        radio=RadioParams(**_scalar_fields(RadioParams, radio_data, "network params radio")),
-        hover=HoverParams(**_scalar_fields(HoverParams, hover_data, "network params hover")),
-    )
+    return dataclass_from_json(NetworkParams, data, "network params")
 
 
 def network_to_json(params: NetworkParams, net: UavNetwork) -> dict:
     return {
-        "params": params_to_json(params),
+        "params": asdict(params),
         "uavs": [
             {"id": u, "x": net.positions[u][0], "y": net.positions[u][1], "mass_kg": net.masses[u]}
             for u in range(net.num_uavs)

@@ -330,6 +330,65 @@ class TestMalformedFields:
         if code:
             assert "flow #0" in capsys.readouterr().err
 
+    def test_gen_instance_two_uavs_at_one_point(self, tmp_path, capsys):
+        # the link graph needs a positive distance between every pair of UAVs
+        doc = {
+            "params": {"num_uavs": 3},
+            "uavs": [{"id": u, "x": 30.0 * min(u, 1), "y": 0.0, "mass_kg": 1.0} for u in range(3)],
+        }
+        net = write_json(tmp_path / "net.json", doc)
+        out = tmp_path / "o.json"
+        code = main(["gen-instance", "--network", net, "--flows", "1", "--retired", "1", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "distance must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_schedule_t_ms_contradicting_rule_counts(self, tmp_path, capsys):
+        doc = {
+            "flows": [{"id": 0, "t_ms": 25, "rule_counts": {"r_del": 1, "r_ins": 1, "r_mod": 1}, "delta": [0]}],
+            "uavs": [{"id": 0, "p_watts": 10.0}],
+        }
+        inst = write_json(tmp_path / "inst.json", doc)
+        assert main(["schedule", "--instance", inst, "--method", "heuristic", "--out", str(tmp_path / "o.json")]) == 2
+        assert "does not match its rule counts" in capsys.readouterr().err
+
+    def test_schedule_rule_count_too_large_for_a_float(self, tmp_path, capsys):
+        doc = {
+            "flows": [{"id": 0, "rule_counts": {"r_del": 10**400, "r_ins": 1, "r_mod": 1}, "delta": [0]}],
+            "uavs": [{"id": 0, "p_watts": 10.0}],
+        }
+        inst = write_json(tmp_path / "inst.json", doc)
+        assert main(["schedule", "--instance", inst, "--method", "heuristic", "--out", str(tmp_path / "o.json")]) == 2
+        assert "flow #0: number out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params", [{"mass_choices": [1e300]}, {"hover": {"prop_radius": 1e-200}}], ids=["huge-mass", "tiny-propeller"]
+    )
+    def test_gen_network_hover_power_must_be_finite(self, tmp_path, capsys, params):
+        path = write_json(tmp_path / "p.json", params)
+        out = tmp_path / "net.json"
+        assert main(["gen-network", "--params", path, "--seed", "1", "--out", str(out)]) == 2
+        assert "hover power" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"m_list": "34"},
+            {"methods": "heuristic"},
+            {"methods": ["heuristic", 5]},
+            {"radio": {}},
+            {"network": {"radio": {"bogus": 1}}},
+        ],
+        ids=["m_list-string", "methods-string", "methods-int-entry", "top-level-unknown", "radio-unknown"],
+    )
+    def test_experiment_config_lists_are_arrays_and_keys_known(self, tmp_path, capsys, config):
+        cfg = write_json(tmp_path / "cfg.json", dict(DESK_CONFIG, **config))
+        csv_path = tmp_path / "out.csv"
+        assert main(["experiment", "--config", cfg, "--csv", str(csv_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: experiment config")
+        assert not csv_path.exists()
+
 
 class TestExportIlp:
     def test_reference_instance_has_72_binaries(self, tmp_path, reference_file):
@@ -396,6 +455,13 @@ class TestExperimentAndPlot:
         assert main(["experiment", "--config", cfg, "--csv", str(target)]) == 0
         assert target.exists()
 
+    def test_config_for_a_network_of_at_most_ten_uavs(self, tmp_path):
+        # the default m_list (5..10) does not fit such a network; the config's own m_list does
+        config = {"network": {"num_uavs": 8}, "n_flows_list": [3], "m_list": [2], "iterations": 2,
+                  "methods": ["heuristic"], "csv_path": str(tmp_path / "out.csv")}
+        assert main(["experiment", "--config", write_json(tmp_path / "cfg.json", config)]) == 0
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 2
+
     def test_experiment_without_destination_fails(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", DESK_CONFIG)
         assert main(["experiment", "--config", cfg]) == 2
@@ -457,8 +523,15 @@ class TestExperimentAndPlot:
             "5,70,heuristic,200,10.5,0.1,10.3,inf,0.001",
             "5.5,70,heuristic,200,10.5,0.1,10.3,10.7,0.001",
             "5,70,heuristic,two,10.5,0.1,10.3,10.7,0.001",
+            "5,70,<b>x,200,10.5,0.1,10.3,10.7,0.001",  # would be written into the SVG as markup
+            "5,70,random,200,20.5,0.1,20.3,20.7,0.001",  # the first row again
+            "5,70,heuristic,-3,10.5,0.1,10.3,10.7,0.001",
+            "5,70,heuristic,200,10.5,-0.1,10.3,10.7,0.001",
         ],
-        ids=["short", "extra-field", "nan-mean", "inf-ci-hi", "fractional-m", "text-k"],
+        ids=[
+            "short", "extra-field", "nan-mean", "inf-ci-hi", "fractional-m", "text-k",
+            "markup-method", "repeated-cell", "negative-k", "negative-se",
+        ],
     )
     def test_plot_rejects_a_malformed_row(self, tmp_path, capsys, row):
         good = "5,70,random,200,20.5,0.1,20.3,20.7,0.001"
