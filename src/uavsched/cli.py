@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 invalid input or parameters, 3 I/O failure,
 """
 
 import argparse
+from functools import cache
 import json
 import sys
 from pathlib import Path
@@ -136,7 +137,9 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args never changes it."""
     parser = argparse.ArgumentParser(
         prog="uavsched",
         description="Energy-minimal handover scheduling for replacing UAV relays",

@@ -9,6 +9,7 @@ validates candidate orders, and converts between orders and schedules.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import DimensionMismatch, EmptyInstance, InvalidOrder, write_text
 from .model import ReplacementInstance, Schedule, ensure_valid_schedule
@@ -35,6 +36,13 @@ class TotalOrderMatrix:
     n: int
     m: int
     rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        size = self.n + self.m
+        if len(self.rows) != size or any(len(row) != size for row in self.rows):
+            raise ValueError(f"matrix must be {size} x {size} for n={self.n}, m={self.m}")
+        if not {entry for row in self.rows for entry in row} <= {0, 1}:
+            raise ValueError("matrix entries must be 0 or 1")
 
     @property
     def size(self) -> int:
@@ -72,7 +80,7 @@ class IlpModel:
 
     Only the objective and the dependency fixings carry instance data; the
     comparability equalities and transitivity inequalities range over all
-    index pairs/triples and are generated on demand.
+    index pairs/triples, and ``lp_text`` writes them out.
     """
 
     n: int
@@ -87,34 +95,6 @@ class IlpModel:
     @property
     def variable_count(self) -> int:
         return self.size * (self.size - 1)
-
-    def variables(self):
-        for i in range(1, self.size + 1):
-            for j in range(1, self.size + 1):
-                if i != j:
-                    yield (i, j)
-
-    def pair_equalities(self):
-        for i in range(1, self.size + 1):
-            for j in range(i + 1, self.size + 1):
-                yield (i, j)
-
-    @property
-    def pair_count(self) -> int:
-        return self.size * (self.size - 1) // 2
-
-    def triple_inequalities(self):
-        for i in range(1, self.size + 1):
-            for j in range(1, self.size + 1):
-                if j == i:
-                    continue
-                for k in range(1, self.size + 1):
-                    if k != i and k != j:
-                        yield (i, j, k)
-
-    @property
-    def triple_count(self) -> int:
-        return self.size * (self.size - 1) * (self.size - 2)
 
 
 def dependency_from_instance(instance: ReplacementInstance) -> DependencyRelation:
@@ -140,35 +120,48 @@ def build_ilp(instance: ReplacementInstance) -> IlpModel:
     return IlpModel(n=n, m=m, objective=objective, fixed=fixed)
 
 
+def _template(rows: list[str]) -> tuple[str, list[int]]:
+    """Join rows indexed 1..len(rows); row k spans text[offsets[k - 1]:offsets[k]]."""
+    return "".join(rows), [0, *accumulate(map(len, rows))]
+
+
 def lp_text(model: IlpModel) -> str:
     """Render the model in LP file format, rows in lexicographic index order.
 
-    The (n+m)^3 transitivity rows dominate the text, so rows are built in
-    blocks: one string per (i, j) over all k, with the parts that do not
-    depend on k formatted once per block.
+    The pair, transitivity and binary rows are cut from templates that hold
+    the placeholder ``\x01`` where the leading index i goes.  Transitivity
+    block (i, j) is the template of j over all k with its k = i row sliced
+    out; each i joins its blocks and writes i in with one ``str.replace``.
+    Python-level work is O((n+m)^2); the (n+m)^3 characters of the
+    transitivity rows come from C-level slicing, joining and replacing.
     """
     size = model.size
     names = [str(k) for k in range(size + 1)]
+    ks = names[1:]
     terms = [f"{coeff!r} x_{i}_{j}" for (i, j), coeff in model.objective] or ["0 x_1_2"]
+    pair, pair_at = _template([f" pair_\x01_{k}: x_\x01_{k} + x_{k}_\x01 = 1\n" for k in ks])
+    binary, binary_at = _template([f" x_\x01_{k}\n" for k in ks])
+    tri = [
+        _template(
+            [f" tri_\x01_{j}_{k}: x_\x01_{j} + x_{j}_{k} - x_\x01_{k} <= 1\n" if k != j else "" for k in ks]
+        )
+        for j in ks
+    ]
     blocks = ["Minimize\n obj:\n   ", "\n   + ".join(terms), "\nSubject To\n"]
     blocks.append("".join([f" dep_{i}_{j}: x_{i}_{j} = 1\n" for i, j in model.fixed]))
-    blocks.append(
-        "".join([f" pair_{i}_{j}: x_{i}_{j} + x_{j}_{i} = 1\n" for i, j in model.pair_equalities()])
-    )
+    blocks.extend(pair[pair_at[i] :].replace("\x01", names[i]) for i in range(1, size + 1))
     for i in range(1, size + 1):
-        si = names[i]
-        tail = f" - x_{si}_"
-        for j in range(1, size + 1):
-            if j == i:
-                continue
-            sj = names[j]
-            head = f" tri_{si}_{sj}_"
-            mid = f": x_{si}_{sj} + x_{sj}_"
-            lo, hi = (i, j) if i < j else (j, i)
-            ks = names[1:lo] + names[lo + 1 : hi] + names[hi + 1 :]
-            blocks.append("".join([f"{head}{k}{mid}{k}{tail}{k} <= 1\n" for k in ks]))
+        parts = []
+        for j, (text, at) in enumerate(tri, 1):
+            if j != i:
+                parts.append(text[: at[i - 1]])
+                parts.append(text[at[i] :])
+        blocks.append("".join(parts).replace("\x01", names[i]))
     blocks.append("Binary\n")
-    blocks.append("".join([f" x_{i}_{j}\n" for i, j in model.variables()]))
+    blocks.extend(
+        (binary[: binary_at[i - 1]] + binary[binary_at[i] :]).replace("\x01", names[i])
+        for i in range(1, size + 1)
+    )
     blocks.append("End\n")
     return "".join(blocks)
 
@@ -214,11 +207,15 @@ def validate_total_order(x: TotalOrderMatrix, dependency: DependencyRelation) ->
 def order_to_schedule(x: TotalOrderMatrix) -> tuple[Schedule, tuple[int, ...]]:
     """Linearize a total order; return the flow schedule and each UAV's position.
 
-    In a strict total order the successor counts are a permutation of
-    0..size-1, so sorting by descending successor count is the unique
-    linear extension.
+    An irreflexive, total relation (a tournament) whose successor counts
+    are a permutation of 0..size-1 is transitive, so these O(size^2) checks
+    establish a strict total order; sorting by descending successor count
+    is then its unique linear extension.
     """
     size = x.size
+    for i, (row, column) in enumerate(zip(x.rows, zip(*x.rows))):
+        if row[i] or any(a + b != 1 for a, b in zip(row[i + 1 :], column[i + 1 :])):
+            raise InvalidOrder(f"index {i + 1} breaks irreflexivity or totality; not a strict total order")
     succ = [sum(row) for row in x.rows]
     if sorted(succ) != list(range(size)):
         raise InvalidOrder("successor counts are not a permutation; not a strict total order")

@@ -5,9 +5,12 @@ import os
 from pathlib import Path
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
+import uavsched
 from uavsched.cli import main
 from uavsched.experiment import CSV_COLUMNS
 from uavsched.model import instance_from_parts, instance_to_json
@@ -622,3 +625,44 @@ class TestRoundTrip:
         exact = json.loads(exact_out.read_text())
         brute = json.loads(brute_out.read_text())
         assert exact["energy_j"] == brute["energy_j"]
+
+
+class TestOneProcessManyCalls:
+    """main keeps no state between calls: a sequence in one process matches fresh processes."""
+
+    COMMANDS = (
+        (2, ["schedule", "--instance", "{instance}"]),  # argparse rejects it: --method and --out are missing
+        (0, ["schedule", "--instance", "{instance}", "--method", "heuristic", "--out", "{out}/h.json"]),
+        (0, ["export-ilp", "--instance", "{instance}", "--out", "{out}/model.lp"]),
+        (2, ["schedule", "--instance", "{instance}", "--method", "random", "--out", "{out}/r.json"]),  # no --seed
+    )
+
+    @staticmethod
+    def written(directory):
+        """Files by name; a schedule's measured wall time is masked."""
+        files = {}
+        for path in sorted(directory.iterdir()):
+            text = path.read_text()
+            if path.suffix == ".json":
+                text = re.sub(r'"wall_time_s": [^,}\n]+', '"wall_time_s": null', text)
+            files[path.name] = text
+        return files
+
+    def test_each_call_matches_a_fresh_process(self, tmp_path, reference_file, capsys):
+        env = {**os.environ, "PYTHONPATH": str(Path(uavsched.__file__).resolve().parents[1])}
+        same, fresh = tmp_path / "same", tmp_path / "fresh"
+        same.mkdir()
+        fresh.mkdir()
+        for expected, template in self.COMMANDS:
+            capsys.readouterr()
+            code = main([arg.format(instance=reference_file, out=same) for arg in template])
+            err = capsys.readouterr().err
+            argv = [arg.format(instance=reference_file, out=fresh) for arg in template]
+            run = subprocess.run(
+                [sys.executable, "-m", "uavsched.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert (code, run.returncode) == (expected, expected), template
+            if expected:
+                assert err.replace(str(same), str(fresh)) == run.stderr
+        assert self.written(same) == self.written(fresh)
+        assert sorted(self.written(same)) == ["h.json", "model.lp"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavsched import ordering
 from uavsched.errors import DimensionMismatch, EmptyInstance, InvalidOrder, InvalidSchedule
 from uavsched.model import Schedule, compute_energy, instance_from_parts
 from uavsched.ordering import (
@@ -48,13 +49,21 @@ def seed_lp_text(model: IlpModel) -> str:
     lines.append("Subject To")
     for i, j in model.fixed:
         lines.append(f" dep_{i}_{j}: x_{i}_{j} = 1")
-    for i, j in model.pair_equalities():
-        lines.append(f" pair_{i}_{j}: x_{i}_{j} + x_{j}_{i} = 1")
-    for i, j, k in model.triple_inequalities():
-        lines.append(f" tri_{i}_{j}_{k}: x_{i}_{j} + x_{j}_{k} - x_{i}_{k} <= 1")
+    indices = range(1, model.size + 1)
+    for i in indices:
+        for j in indices:
+            if i < j:
+                lines.append(f" pair_{i}_{j}: x_{i}_{j} + x_{j}_{i} = 1")
+    for i in indices:
+        for j in indices:
+            for k in indices:
+                if len({i, j, k}) == 3:
+                    lines.append(f" tri_{i}_{j}_{k}: x_{i}_{j} + x_{j}_{k} - x_{i}_{k} <= 1")
     lines.append("Binary")
-    for i, j in model.variables():
-        lines.append(f" x_{i}_{j}")
+    for i in indices:
+        for j in indices:
+            if i != j:
+                lines.append(f" x_{i}_{j}")
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -71,8 +80,11 @@ def assert_same_text(model: IlpModel):
         pytest.fail(f"LP text differs at row {r}: {got!r} != {want!r}")
 
 
-def milp_optimum(text: str) -> float:
-    """Solve LP text as written by lp_text with the HiGHS MILP solver."""
+def milp_optimum(text: str) -> tuple[float, dict[str, float]]:
+    """Solve LP text as written by lp_text with the HiGHS MILP solver.
+
+    Returns the optimum and the solution, each binary's value by name.
+    """
     np = pytest.importorskip("numpy")
     optimize = pytest.importorskip("scipy.optimize")
     head, rest = text.split("Subject To\n")
@@ -105,7 +117,28 @@ def milp_optimum(text: str) -> float:
         bounds=optimize.Bounds(0, 1),
     )
     assert result.success, result.message
-    return result.fun
+    return result.fun, dict(zip(names, result.x))
+
+
+def solution_order(n: int, m: int, x: dict[str, float]) -> TotalOrderMatrix:
+    """Round a MILP solution into the precedence matrix it encodes."""
+    size = n + m
+    rows = tuple(
+        tuple(round(x[f"x_{i}_{j}"]) if i != j else 0 for j in range(1, size + 1))
+        for i in range(1, size + 1)
+    )
+    return TotalOrderMatrix(n=n, m=m, rows=rows)
+
+
+def random_model(n: int, m: int, seed: int) -> IlpModel:
+    """Model of an instance with paper-like times and powers, each flow crossing 1-3 UAVs."""
+    rng = random.Random(seed)
+    inst = instance_from_parts(
+        tuple(rng.uniform(0.005, 0.060) for _ in range(n)),
+        tuple(frozenset(rng.sample(range(m), rng.randint(1, min(3, m)))) for _ in range(n)),
+        tuple(rng.uniform(20.0, 310.0) for _ in range(m)),
+    )
+    return build_ilp(inst)
 
 
 class TestDependency:
@@ -137,10 +170,6 @@ class TestBuildIlp:
         assert ilp.variable_count == 72
         assert len(ilp.objective) == 4 * 5
         assert len(ilp.fixed) == 9
-        assert ilp.pair_count == 36
-        assert ilp.triple_count == 504
-        assert sum(1 for _ in ilp.pair_equalities()) == 36
-        assert sum(1 for _ in ilp.triple_inequalities()) == 504
 
     def test_singleton_objective_is_one_product(self):
         ilp = build_ilp(singleton_instance())
@@ -201,15 +230,29 @@ class TestExportLp:
         assert_same_text(build_ilp(inst))
 
     def test_text_matches_the_row_by_row_renderer_at_paper_scale(self):
-        rng = random.Random(59)
-        inst = instance_from_parts(
-            tuple(rng.uniform(0.005, 0.060) for _ in range(59)),
-            tuple(frozenset(rng.sample(range(10), rng.randint(1, 3))) for _ in range(59)),
-            tuple(rng.uniform(20.0, 310.0) for _ in range(10)),
-        )
-        model = build_ilp(inst)
+        model = random_model(59, 10, seed=59)
         assert model.size == 69
         assert_same_text(model)
+
+    @pytest.mark.parametrize(
+        "n, m", [(6, 3), (7, 3), (8, 3), (92, 9)], ids=["size-9", "size-10", "size-11", "size-101"]
+    )
+    def test_text_matches_the_row_by_row_renderer_where_index_widths_change(self, n, m):
+        assert_same_text(random_model(n, m, seed=n + m))
+
+    def test_export_renders_through_the_module_level_lp_text(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recorded(model):
+            calls.append(model)
+            return "stub\n"
+
+        monkeypatch.setattr(ordering, "lp_text", recorded)
+        model = build_ilp(singleton_instance())
+        path = tmp_path / "stub.lp"
+        assert export_lp(model, path) == "stub\n"
+        assert calls == [model]
+        assert path.read_text() == "stub\n"
 
     def test_byte_identical_across_exports(self, tmp_path):
         ilp = build_ilp(reference_instance())
@@ -277,6 +320,22 @@ class TestOrderToSchedule:
         rows = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
         with pytest.raises(InvalidOrder):
             order_to_schedule(TotalOrderMatrix(n=3, m=0, rows=rows))
+
+    def test_reflexive_non_total_matrix_with_distinct_successor_counts_rejected(self):
+        # successor counts 2, 1, 0 are a permutation, yet x_11 = 1 and 1, 2 and 2, 3 are incomparable
+        x = TotalOrderMatrix(n=2, m=1, rows=((1, 1, 0), (0, 0, 1), (0, 0, 0)))
+        assert len(validate_total_order(x, DependencyRelation(n=2, m=1, pairs=frozenset()))) == 3
+        with pytest.raises(InvalidOrder):
+            order_to_schedule(x)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [((0, 1, 1), (0, 0, 1)), ((0, 1, 1), (0, 0), (0, 1, 0)), ((0, 2, 1), (0, 0, 1), (0, 0, 0))],
+        ids=["too-few-rows", "short-row", "entry-not-binary"],
+    )
+    def test_malformed_matrix_rejected(self, rows):
+        with pytest.raises(ValueError):
+            TotalOrderMatrix(n=2, m=1, rows=rows)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -373,15 +432,24 @@ class TestIlpObjective:
 class TestMilpSolver:
     """HiGHS solves the exported text: a third optimiser beside brute force and the DPs."""
 
+    @staticmethod
+    def solve(inst) -> float:
+        """Solve the exported text; check that the solution is an order whose schedule reaches the optimum."""
+        optimum, x = milp_optimum(lp_text(build_ilp(inst)))
+        order = solution_order(inst.n, inst.m, x)
+        assert validate_total_order(order, dependency_from_instance(inst)) == []
+        schedule, _ = order_to_schedule(order)
+        assert compute_energy(inst, schedule).total_energy == pytest.approx(optimum, rel=1e-9)
+        return optimum
+
     def test_worked_example(self):
-        assert milp_optimum(lp_text(build_ilp(reference_instance()))) == pytest.approx(46.0, rel=1e-9)
+        assert self.solve(reference_instance()) == pytest.approx(46.0, rel=1e-9)
 
     def test_random_instances_match_exact_dp(self):
         rng = random.Random(8)
         for _ in range(10):
             inst = random_instance(rng, max_n=8)
-            optimum = milp_optimum(lp_text(build_ilp(inst)))
-            assert optimum == pytest.approx(exact_schedule_dp(inst).energy, rel=1e-9)
+            assert self.solve(inst) == pytest.approx(exact_schedule_dp(inst).energy, rel=1e-9)
 
     def test_uav_side_instances_match_exact_schedule(self):
         rng = random.Random(9)
@@ -389,4 +457,4 @@ class TestMilpSolver:
             inst = random_instance(rng, max_n=8, max_m=3, min_n=4)
             result = exact_schedule(inst)
             assert result.method == "exact_uav"
-            assert milp_optimum(lp_text(build_ilp(inst))) == pytest.approx(result.energy, rel=1e-9)
+            assert self.solve(inst) == pytest.approx(result.energy, rel=1e-9)
