@@ -33,7 +33,11 @@ def _load_json(path):
 
 
 def _write_json(path, payload) -> None:
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n", "JSON")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # an infinite or NaN number, which JSON cannot hold
+        raise ValueError(f"not writing {path}: {exc}") from None
+    write_text(path, text + "\n", "JSON")
 
 
 def cmd_gen_network(args) -> int:

@@ -26,7 +26,7 @@ from .model import (
     instance_to_json,
     timings_from_json,
 )
-from .netgen import NetworkParams, generate_network, sample_flow_routes, sample_retired_set
+from .netgen import NetworkParams, PairTable, generate_network, sample_flow_routes, sample_retired_set
 from .sched import EXACT_CAP_DEFAULT, exact_schedule_dp, heuristic_schedule, random_schedule
 import random
 
@@ -65,14 +65,17 @@ class ExperimentConfig:
             raise ConfigInvalid("methods must not repeat")
         if not self.n_flows_list or not self.m_list:
             raise ConfigInvalid("n_flows_list and m_list must not be empty")
+        if len(set(self.n_flows_list)) != len(self.n_flows_list) or len(set(self.m_list)) != len(self.m_list):
+            raise ConfigInvalid("n_flows_list and m_list must not repeat: a cell would be run and written twice")
         for m in self.m_list:
             if not 0 <= m < self.network.num_uavs:
                 raise ConfigInvalid(f"m={m} must be in [0, num_uavs)")
         for n_f in self.n_flows_list:
             if n_f < 1:
                 raise ConfigInvalid(f"n_flows={n_f} must be positive")
-        if self.exact_cap < 0:
-            raise ConfigInvalid(f"exact_cap must be non-negative, got {self.exact_cap}")
+        if not 0 <= self.exact_cap <= EXACT_CAP_DEFAULT:
+            # exact_dp keeps two tables of 2^n entries per instance
+            raise ConfigInvalid(f"exact_cap must be in [0, {EXACT_CAP_DEFAULT}], got {self.exact_cap}")
 
 
 @dataclass(frozen=True)
@@ -103,15 +106,26 @@ class ExperimentResult:
 
 
 def summarize(samples) -> tuple[float, float, float, float]:
-    """Sample mean, standard error, and 95% confidence interval bounds."""
+    """Sample mean, standard error, and 95% confidence interval bounds.
+
+    A sample or statistic that is not finite is a ValueError.
+    """
     samples = list(samples)
     k = len(samples)
     if k < 2:
         raise TooFewSamples(f"need at least 2 samples, got {k}")
+    if not all(map(math.isfinite, samples)):
+        raise ValueError(f"samples must be finite, got {next(e for e in samples if not math.isfinite(e))!r}")
     mean = sum(samples) / k
-    variance = sum((e - mean) ** 2 for e in samples) / (k - 1)
+    try:
+        variance = sum((e - mean) ** 2 for e in samples) / (k - 1)
+    except OverflowError:
+        variance = math.inf
     se = math.sqrt(variance) / math.sqrt(k)
-    return mean, se, mean - 1.96 * se, mean + 1.96 * se
+    stats = (mean, se, mean - 1.96 * se, mean + 1.96 * se)
+    if not all(map(math.isfinite, stats)):
+        raise ValueError(f"the mean and standard error of {k} samples overflow: {mean!r}, {se!r}")
+    return stats
 
 
 def _derive_seed(master_seed: int, *parts) -> int:
@@ -122,48 +136,58 @@ def _derive_seed(master_seed: int, *parts) -> int:
 class _CellMemo:
     """What one sweep cell derives once, while its retiring set stays fixed.
 
-    ``cache`` is build_instance's route cache.  With the timings fixed, a
-    flow's entry in the instance's JSON text depends on its handover time,
-    UAV set and rule counts alone but for the flow id, so ``fragments`` keeps each
-    such entry as the text before and after the id.  With the retiring set
-    fixed too, ``tail``, the text after the flows, is the same for every
-    instance of the cell.
+    ``table`` is the cell's PairTable: each endpoint pair is routed once,
+    and only the flows that cross the retiring set reach build_instance.
+    The note of a crossing pair's entry keeps the flow's entry in the
+    instance's JSON text as the text before and after its id.  That text
+    depends on the flow's handover time, UAV set and rule counts alone, and
+    many pairs share them, so ``fragments`` renders it once per such key
+    when a pair's note is first set.  ``uavs`` is the same object on every
+    call, so build_instance recognises it at once, and ``cache`` is
+    build_instance's route cache.  ``tail``, the text after the flows, is
+    the same for every instance of the cell.
     """
 
-    def __init__(self):
+    def __init__(self, net, retired):
+        # with no retiring UAV no flow is kept; build_instance then still
+        # gets every flow, as it refuses an input with no flows and no UAVs
+        self.retired = retired
+        self.table = PairTable(net, retired) if retired else None
+        self.uavs = tuple((u, net.hover_powers[u]) for u in sorted(retired))
         self.cache = {}
         self.fragments = {}
         self.tail = None
 
-    def instance_text(self, instance) -> str:
-        """``json.dumps(instance_to_json(instance), sort_keys=True)``, assembled from the fragments."""
+    def instance_text(self, instance, kept) -> str:
+        """``json.dumps(instance_to_json(instance), sort_keys=True)``, assembled from the kept flows' notes."""
         if self.tail is None:
             doc = instance_to_json(instance)
             del doc["flows"]
             self.tail = json.dumps(doc, sort_keys=True)[1:]
-        fragments = self.fragments
         parts = []
-        for flow in instance.flows:
-            key = (flow.handover_time, flow.retired_set, flow.rule_counts)
-            fragment = fragments.get(key)
+        for flow, (_, entry) in zip(instance.flows, kept):
+            fragment = entry[1]
             if fragment is None:
-                head, id_key, rest = json.dumps(flow_to_json(flow), sort_keys=True).partition('"id": ')
-                fragment = fragments[key] = (head + id_key, rest[len(str(flow.id)):])
+                key = (flow.handover_time, flow.retired_set, flow.rule_counts)
+                fragment = self.fragments.get(key)
+                if fragment is None:
+                    head, id_key, rest = json.dumps(flow_to_json(flow), sort_keys=True).partition('"id": ')
+                    fragment = self.fragments[key] = (head + id_key, rest[len(str(flow.id)):])
+                entry[1] = fragment
             parts.append(f"{fragment[0]}{flow.id}{fragment[1]}")
         return '{"flows": [' + ", ".join(parts) + "], " + self.tail
 
 
-def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, retired, k: int, memo: _CellMemo):
+def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, k: int, memo: _CellMemo):
     """One iteration's instance digest and method outcomes; a resampled retiring set gets a fresh memo."""
     if config.resample_retired_per_iteration:
         rng = random.Random(_derive_seed(config.master_seed, "retired", n_f, m, k))
-        retired = sample_retired_set(net, m, rng)
-        memo = _CellMemo()
+        memo = _CellMemo(net, sample_retired_set(net, m, rng))
     flow_rng = random.Random(_derive_seed(config.master_seed, "flows", n_f, m, k))
-    routes = sample_flow_routes(net, retired, n_f, flow_rng)
-    uavs = [(u, net.hover_powers[u]) for u in sorted(retired)]
-    instance = build_instance(routes, uavs, config.timings, cache=memo.cache).instance
-    text = memo.instance_text(instance)
+    kept = sample_flow_routes(net, memo.retired, n_f, flow_rng, table=memo.table)
+    flows = [(fid, entry[0]) for fid, entry in kept] if memo.table else kept
+    instance = build_instance(flows, memo.uavs, config.timings, cache=memo.cache).instance
+    text = memo.instance_text(instance, kept)
     outcomes = {}
     for method in config.methods:
         if method == "heuristic":
@@ -193,8 +217,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
             retired = sample_retired_set(
                 net, m, random.Random(_derive_seed(config.master_seed, "retired", n_f, m))
             )
-            memo = _CellMemo()
-            iterations = [_run_iteration(config, net, n_f, m, retired, k, memo) for k in range(config.iterations)]
+            memo = _CellMemo(net, retired)
+            iterations = [_run_iteration(config, net, n_f, m, k, memo) for k in range(config.iterations)]
             digests[(n_f, m)] = tuple(digest for digest, _ in iterations)
             for method in config.methods:
                 samples = []
@@ -207,7 +231,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
                     runtimes.append(outcome[1])
                 if len(samples) < 2:
                     continue  # skipped cell: too few samples to summarize
-                mean, se, ci_lo, ci_hi = summarize(samples)
+                try:
+                    mean, se, ci_lo, ci_hi = summarize(samples)
+                except ValueError as exc:
+                    raise ValueError(f"cell n_f={n_f}, m={m}, method {method}: {exc}") from None
                 cell = CellStats(
                     n_f=n_f,
                     m=m,

@@ -10,6 +10,7 @@ the cumulative finish time of the last flow of relay j.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 import math
 
 from .errors import (
@@ -148,20 +149,26 @@ class ReplacementInstance:
         for j, power in enumerate(self.powers):
             if not (math.isfinite(power) and power >= 0):
                 raise InvalidInstance(f"UAV {j}: hover_power must be non-negative, got {power!r}")
+        timings = self.timings
         for i, flow in enumerate(self.flows):
             if flow.id != i:
                 raise InvalidInstance(f"flow ids must be dense 0..{n - 1}, found {flow.id} at index {i}")
             if not flow.retired_set:
                 raise InvalidInstance(f"flow {i} crosses no retiring UAV and does not belong in an instance")
-            if not all(isinstance(j, int) and 0 <= j < m for j in flow.retired_set):
-                raise InvalidInstance(f"flow {i} references unknown UAV ids {sorted(flow.retired_set)}")
-            if not (math.isfinite(flow.handover_time) and flow.handover_time > 0):
-                raise InvalidInstance(f"flow {i} needs a positive handover time, got {flow.handover_time!r}")
-            if flow.rule_counts is not None:
-                expected = handover_time(flow.rule_counts, self.timings)
-                if abs(flow.handover_time - expected) > 1e-9 * max(1.0, abs(expected)):
+            for j in flow.retired_set:
+                if not (isinstance(j, int) and 0 <= j < m):
+                    raise InvalidInstance(f"flow {i} references unknown UAV ids {sorted(flow.retired_set)}")
+            t = flow.handover_time
+            if not (math.isfinite(t) and t > 0):
+                raise InvalidInstance(f"flow {i} needs a positive handover time, got {t!r}")
+            counts = flow.rule_counts
+            if counts is not None:  # handover_time(counts, timings), in its operand order
+                expected = (
+                    counts.r_del * timings.tau_del + counts.r_ins * timings.tau_ins + counts.r_mod * timings.tau_mod
+                )
+                if abs(t - expected) > 1e-9 * max(1.0, abs(expected)):
                     raise InvalidInstance(
-                        f"flow {i}: handover_time {flow.handover_time} does not match "
+                        f"flow {i}: handover_time {t} does not match "
                         f"its rule counts under the instance timings ({expected})"
                     )
 
@@ -274,7 +281,8 @@ class InstanceBuild:
     uav_ids: tuple[int, ...]
 
 
-# build_instance keeps the retiring set and timings a cache was filled for under this key
+# build_instance keeps what it derived from the retiring set and timings a
+# cache was filled for under this key
 _FILLED_FOR = object()
 _UNSEEN = object()
 
@@ -288,6 +296,29 @@ def _route_entry(fid, nodes: tuple, retired_ids: set, dense_of_uav: dict, timing
         return None
     counts = rule_counts_from_route(nodes, retired_ids)
     return handover_time(counts, timings), frozenset(dense_of_uav[u] for u in hit), counts
+
+
+def _retiring_frame(flows, retired_uavs, timings: RuleTimings, cache: dict):
+    """Check the retiring set against the flows and the cache, and remember it in the cache."""
+    given = retired_uavs
+    retired_uavs = sorted(retired_uavs, key=lambda item: item[0])
+    if not flows and not retired_uavs:
+        raise EmptyInstance("no flows and no retiring UAVs given")
+    uav_original = tuple(uid for uid, _ in retired_uavs)
+    if len(set(uav_original)) != len(uav_original):
+        raise ValueError(f"retiring UAV ids must be unique, got {list(uav_original)!r}")
+    filled_for = (tuple(map(tuple, retired_uavs)), timings)
+    filled = cache.get(_FILLED_FOR)
+    if filled is not None and filled[2] != filled_for:
+        raise ValueError("route cache was filled for another retiring set or other timings")
+    frame = (
+        uav_original,
+        tuple(power for _, power in retired_uavs),
+        {uid: j for j, uid in enumerate(uav_original)},
+        set(uav_original),
+    )
+    cache[_FILLED_FOR] = (given, timings, filled_for, frame)
+    return frame
 
 
 def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, cache=None) -> InstanceBuild:
@@ -304,45 +335,40 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
     ``(handover_time, retired_set, rule_counts)``, or to None when the route
     misses the retiring set.  A route is checked once, when its entry is
     made.  The cache remembers the retiring set and timings it was filled
-    for; other ones raise ValueError.
+    for; other ones raise ValueError.  Given the very objects of the last
+    call again, it takes them as unchanged without comparing them, so a
+    caller that reuses ``retired_uavs`` must not mutate it.
     """
     flows = list(flows)
-    retired_uavs = sorted(retired_uavs, key=lambda item: item[0])
-    if not flows and not retired_uavs:
-        raise EmptyInstance("no flows and no retiring UAVs given")
-    uav_original = [uid for uid, _ in retired_uavs]
-    if len(set(uav_original)) != len(uav_original):
-        raise ValueError(f"retiring UAV ids must be unique, got {uav_original!r}")
     if cache is None:
         cache = {}
-    filled_for = (tuple(map(tuple, retired_uavs)), timings)
-    if cache.setdefault(_FILLED_FOR, filled_for) != filled_for:
-        raise ValueError("route cache was filled for another retiring set or other timings")
-    dense_of_uav = {uid: j for j, uid in enumerate(uav_original)}
-    retired_ids = set(uav_original)
+    filled = cache.get(_FILLED_FOR)
+    if filled is not None and filled[0] is retired_uavs and filled[1] is timings:
+        uav_original, powers, dense_of_uav, retired_ids = filled[3]
+        if not flows and not uav_original:
+            raise EmptyInstance("no flows and no retiring UAVs given")
+    else:
+        uav_original, powers, dense_of_uav, retired_ids = _retiring_frame(flows, retired_uavs, timings, cache)
 
-    seen_flow_ids = set()
-    kept_specs = []
-    kept_original = []
-    for fid, route in flows:
-        if fid in seen_flow_ids:
-            raise ValueError(f"duplicate flow id {fid!r}")
-        seen_flow_ids.add(fid)
-        nodes = tuple(route)
-        entry = cache.get(nodes, _UNSEEN)
-        if entry is _UNSEEN:
-            entry = cache[nodes] = _route_entry(fid, nodes, retired_ids, dense_of_uav, timings)
-        if entry is None:
-            continue
-        t, retired_set, counts = entry
-        kept_specs.append(
-            FlowSpec(id=len(kept_specs), handover_time=t, retired_set=retired_set, rule_counts=counts)
-        )
-        kept_original.append(fid)
-
-    powers = tuple(power for _, power in retired_uavs)
-    instance = ReplacementInstance(flows=tuple(kept_specs), powers=powers, timings=timings)
-    return InstanceBuild(instance=instance, flow_ids=tuple(kept_original), uav_ids=tuple(uav_original))
+    fids, routes = zip(*flows) if flows else ((), ())
+    keys = list(map(tuple, routes))
+    entries = list(map(cache.get, keys, repeat(_UNSEEN)))
+    if _UNSEEN in entries or len(set(fids)) != len(fids):
+        seen_flow_ids = set()
+        for i, (fid, nodes) in enumerate(zip(fids, keys)):
+            if fid in seen_flow_ids:
+                raise ValueError(f"duplicate flow id {fid!r}")
+            seen_flow_ids.add(fid)
+            entry = cache.get(nodes, _UNSEEN)
+            if entry is _UNSEEN:
+                entry = cache[nodes] = _route_entry(fid, nodes, retired_ids, dense_of_uav, timings)
+            entries[i] = entry
+    if None in entries:
+        fids = tuple(fid for fid, entry in zip(fids, entries) if entry is not None)
+        entries = [entry for entry in entries if entry is not None]
+    specs = tuple(map(FlowSpec, range(len(entries)), *zip(*entries)))
+    instance = ReplacementInstance(flows=specs, powers=powers, timings=timings)
+    return InstanceBuild(instance=instance, flow_ids=fids, uav_ids=uav_original)
 
 
 def flow_to_json(flow: FlowSpec) -> dict:

@@ -223,7 +223,41 @@ def sample_retired_set(net: UavNetwork, count: int, rng: random.Random) -> froze
     return frozenset(rng.sample(range(net.num_uavs), count))
 
 
-def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attempts: int = 1000):
+class PairTable:
+    """What each ordered endpoint pair derives to, for one network and retiring set.
+
+    ``candidates`` are the c in-service UAVs in ascending order, and
+    ``slots[a * c + b]`` belongs to the pair (candidates[a], candidates[b]).
+    sample_flow_routes fills a slot the first time it draws the pair: with
+    False when no path joins the pair, with ``()`` when the pair's route
+    crosses no retiring UAV, and with ``[route, note]`` when it crosses
+    one.  The note starts as None and is the caller's to set (the sweep
+    keeps the flow's text there).  Slots never drawn stay None.
+    """
+
+    def __init__(self, net: UavNetwork, retired):
+        self.net = net
+        self.retired = frozenset(retired)
+        self.candidates = _in_service(net, self.retired)
+        self.slots = [None] * len(self.candidates) ** 2
+
+    def fill(self, a: int, b: int):
+        """Route the pair of candidate indexes (a, b) and record its entry."""
+        try:
+            route = shortest_route(self.net, self.candidates[a], self.candidates[b])
+        except Unreachable:
+            entry = False
+        else:
+            entry = () if self.retired.isdisjoint(route) else [route, None]
+        self.slots[a * len(self.candidates) + b] = entry
+        return entry
+
+
+def _in_service(net: UavNetwork, retired) -> list[int]:
+    return sorted(set(range(net.num_uavs)) - set(retired))
+
+
+def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attempts: int = 1000, table=None):
     """Sample flow routes between random non-retiring endpoints.
 
     ``rng`` is a ``random.Random``.  Each endpoint pair is the one
@@ -232,8 +266,20 @@ def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attem
     overhead, so the draws and the generator's state after them are
     unchanged.  Endpoint pairs that turn out unreachable are rejected and
     redrawn, up to ``max_attempts`` times per flow.
+
+    Without ``table`` every draw asks shortest_route for its route, and
+    every flow comes back as (fid, route).  With ``table``, a PairTable of
+    this network and retiring set, a pair is routed only on its first draw
+    from the table, and only the flows whose routes cross the retiring set
+    come back, each as (fid, entry) with the pair's entry ``[route, note]``.
     """
-    candidates = sorted(set(range(net.num_uavs)) - set(retired))
+    if table is None:
+        candidates = _in_service(net, retired)
+        slots = None
+    else:
+        if table.net is not net or table.retired != retired:
+            raise ValueError("pair table was made for another network or retiring set")
+        candidates, slots = table.candidates, table.slots
     c = len(candidates)
     if c < 2:
         raise SamplingExhausted("fewer than two UAVs remain in service")
@@ -243,7 +289,7 @@ def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attem
     # the size of a small set, and tracks the picks in a set otherwise
     pool = c <= 21
     k2 = (c - 1).bit_length()
-    routes = []
+    flows = []
     for fid in range(n_flows):
         for _ in range(max_attempts):
             a = getrandbits(k)
@@ -259,17 +305,24 @@ def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attem
                 b = getrandbits(k)
                 while b >= c or b == a:
                     b = getrandbits(k)
-            try:
-                route = shortest_route(net, candidates[a], candidates[b])
-            except Unreachable:
-                continue
-            routes.append((fid, route))
-            break
+            if slots is None:
+                try:
+                    entry = shortest_route(net, candidates[a], candidates[b])
+                except Unreachable:
+                    continue
+                break
+            entry = slots[a * c + b]
+            if entry is None:
+                entry = table.fill(a, b)
+            if entry is not False:  # False: no path, so the pair is redrawn
+                break
         else:
             raise SamplingExhausted(
                 f"could not route flow {fid} after {max_attempts} attempts; network too sparse"
             )
-    return tuple(routes)
+        if entry:  # a route, or a table entry of a route that crosses the retiring set
+            flows.append((fid, entry))
+    return tuple(flows)
 
 
 def sample_scenario(net: UavNetwork, n_flows: int, n_retired: int, seed: int):

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -7,13 +8,17 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 import pytest
 
 import uavsched
 from uavsched.cli import main
-from uavsched.experiment import CSV_COLUMNS
-from uavsched.model import instance_from_parts, instance_to_json
+from uavsched.experiment import CSV_COLUMNS, ExperimentConfig, read_csv
+from uavsched.model import DEFAULT_TIMINGS, instance_from_parts, instance_to_json, timings_to_json
+from uavsched.netgen import HoverParams, NetworkParams, RadioParams
 from uavsched.sched import exact_schedule_dp
 
 from helpers import dyadic_time, reference_instance
@@ -392,6 +397,35 @@ class TestMalformedFields:
         assert capsys.readouterr().err.startswith("error: experiment config")
         assert not csv_path.exists()
 
+    def test_schedule_energy_too_large_for_json(self, tmp_path, capsys):
+        # each handover time is finite, but the energy overflows to inf, which JSON cannot hold
+        doc = {
+            "flows": [{"id": 0, "t_ms": 1.7e308, "delta": [0]}, {"id": 1, "t_ms": 1.7e308, "delta": [0]}],
+            "uavs": [{"id": 0, "p_watts": 1e10}],
+        }
+        inst = write_json(tmp_path / "inst.json", doc)
+        out = tmp_path / "o.json"
+        assert main(["schedule", "--instance", inst, "--method", "heuristic", "--out", str(out)]) == 2
+        assert "not writing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_experiment_statistics_too_large_for_a_float(self, tmp_path, capsys):
+        config = {"network": {"num_uavs": 12, "area_side": 100.0}, "n_flows_list": [5], "m_list": [2],
+                  "iterations": 2, "timings": {"tau_del_ms": 1e308, "tau_ins_ms": 1e308}}
+        cfg = write_json(tmp_path / "cfg.json", config)
+        csv_path = tmp_path / "out.csv"
+        assert main(["experiment", "--config", cfg, "--csv", str(csv_path)]) == 2
+        assert "error: cell n_f=5, m=2, method heuristic:" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    def test_experiment_exact_cap_above_the_dp_limit(self, tmp_path, capsys):
+        # refused when the config is read, before any instance is built or solved
+        cfg = write_json(tmp_path / "cfg.json", dict(DESK_CONFIG, exact_cap=23))
+        csv_path = tmp_path / "out.csv"
+        assert main(["experiment", "--config", cfg, "--csv", str(csv_path)]) == 2
+        assert "exact_cap must be in [0, 22], got 23" in capsys.readouterr().err
+        assert not csv_path.exists()
+
 
 class TestExportIlp:
     def test_reference_instance_has_72_binaries(self, tmp_path, reference_file):
@@ -666,3 +700,144 @@ class TestOneProcessManyCalls:
                 assert err.replace(str(same), str(fresh)) == run.stderr
         assert self.written(same) == self.written(fresh)
         assert sorted(self.written(same)) == ["h.json", "model.lp"]
+
+
+def strict_json(path):
+    """The document in ``path``; NaN and Infinity, which are not JSON, fail the test."""
+
+    def refuse(constant):
+        pytest.fail(f"{path.name} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+FUZZ_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 14)
+    | st.integers()
+    | st.floats()
+    | st.floats(0.01, 500.0)
+    | st.sampled_from([1e308, -1e308, 5e-324, 1e-200, 10**400])
+    | st.text(max_size=3)
+    | st.sampled_from(["heuristic", "random", "exact_dp"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def keyed(names, nested=None):
+    """Objects keyed by some of ``names``: each value is any JSON value or, for a key of ``nested``, its object."""
+    nested = nested or {}
+    return st.fixed_dictionaries(
+        {}, optional={name: FUZZ_VALUES | nested[name] if name in nested else FUZZ_VALUES for name in names}
+    )
+
+
+def field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+PARAMS_DOCS = keyed(
+    field_names(NetworkParams), {"radio": keyed(field_names(RadioParams)), "hover": keyed(field_names(HoverParams))}
+)
+CONFIG_DOCS = keyed(
+    field_names(ExperimentConfig),
+    {"network": PARAMS_DOCS, "timings": keyed(timings_to_json(DEFAULT_TIMINGS))},
+)
+
+
+def small(doc: dict, key: str, limit: int, keep_above=None):
+    """Lower a number at ``doc[key]``, or each one in a list there, to ``limit``, but not one past ``keep_above``.
+
+    Floats count too: the loaders read an integral float such as 2e16 as a
+    count, and a network of that many UAVs would fill the memory.
+    """
+
+    def lowered(value):
+        if type(value) in (int, float) and limit < value and (keep_above is None or value <= keep_above):
+            return limit
+        return value
+
+    if key in doc:
+        value = doc[key]
+        doc[key] = [lowered(v) for v in value] if isinstance(value, list) else lowered(value)
+
+
+EXITS = (0, 2, 3, 4)
+
+
+class TestSubcommandFuzz:
+    """Documents with the real field names and arbitrary values: a documented exit, valid JSON out, no traceback.
+
+    Networks keep at most 12 UAVs, sweeps 2 iterations and 8 flows per
+    instance, and exact_cap at most 8 unless it is past the DP limit, so
+    every example runs in milliseconds.
+    """
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        params=PARAMS_DOCS,
+        seed=st.integers(0, 2**32),
+        flows=st.integers(0, 8),
+        retired=st.integers(0, 12),
+        taus=st.lists(st.none() | st.floats() | st.sampled_from([1e308, 1.7e308]), min_size=3, max_size=3),
+    )
+    # the handover times of these instances are finite; the first one's t_ms
+    # are not, and the second one's energy is not
+    @example(params={}, seed=1, flows=5, retired=2, taus=[1e308, None, None])
+    @example(params={"mass_choices": [50.0]}, seed=1, flows=5, retired=2, taus=[None, None, 1e308])
+    def test_gen_network_gen_instance_schedule(self, params, seed, flows, retired, taus):
+        params = {"num_uavs": 12, "area_side": 100.0, **params}
+        small(params, "num_uavs", 12)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            net, inst, scen, out = (tmp / name for name in ("net.json", "inst.json", "scen.json", "out.json"))
+            argv = ["gen-network", "--params", write_json(tmp / "params.json", params), "--seed", str(seed)]
+            code = main([*argv, "--out", str(net)])
+            assert code in EXITS
+            if code:
+                return
+            strict_json(net)
+            argv = ["gen-instance", "--network", str(net), "--flows", str(flows), "--retired", str(retired)]
+            argv += ["--seed", str(seed), "--out", str(inst), "--scenario-out", str(scen)]
+            for flag, tau in zip(("--tau-del-ms", "--tau-ins-ms", "--tau-mod-ms"), taus):
+                if tau is not None:
+                    argv.append(f"{flag}={tau!r}")
+            code = main(argv)
+            assert code in EXITS
+            if code:
+                return
+            strict_json(inst)
+            strict_json(scen)
+            for method in ("heuristic", "exact"):
+                code = main(["schedule", "--instance", str(inst), "--method", method, "--out", str(out)])
+                assert code in EXITS
+                if code == 0:
+                    strict_json(out)
+            assert main(["export-ilp", "--instance", str(inst), "--out", str(tmp / "model.lp")]) in EXITS
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(config=CONFIG_DOCS)
+    # energies of about 1e307 J: a finite mean whose spread overflows
+    @example(config={"timings": {"tau_del_ms": 1e308, "tau_ins_ms": 1e308}})
+    def test_experiment(self, config):
+        base = {"network": {"num_uavs": 12, "area_side": 100.0}, "n_flows_list": [5], "m_list": [2],
+                "iterations": 2, "methods": ["heuristic", "random", "exact_dp"], "exact_cap": 8}
+        config = {**base, **config}
+        if isinstance(config["network"], dict):
+            config["network"] = {**base["network"], **config["network"]}
+            small(config["network"], "num_uavs", 12)
+        small(config, "iterations", 2)
+        small(config, "n_flows_list", 8)
+        small(config, "exact_cap", 8, keep_above=22)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for key in ("csv_path", "svg_energy_path", "svg_runtime_path"):
+                if isinstance(config.get(key), str):  # any path text, kept inside the temporary directory
+                    config[key] = str(tmp / f"{key}-{len(config[key])}")
+            csv_path = tmp / "out.csv"
+            code = main(["experiment", "--config", write_json(tmp / "cfg.json", config), "--csv", str(csv_path)])
+            assert code in EXITS
+            if code == 0:
+                read_csv(csv_path)  # every statistic finite

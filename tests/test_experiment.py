@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 import re
 
@@ -71,6 +72,15 @@ class TestSummarize:
         with pytest.raises(TooFewSamples):
             summarize([4.0])
 
+    @pytest.mark.parametrize(
+        "samples",
+        [[1.0, math.inf], [math.nan, 2.0], [1e308, 1.7e308], [-1e308, 1e308], [1e308, -1e308, 1e308]],
+        ids=["inf-sample", "nan-sample", "sum-overflows", "square-overflows", "spread-overflows"],
+    )
+    def test_non_finite_samples_or_statistics_rejected(self, samples):
+        with pytest.raises(ValueError, match="finite|overflow"):
+            summarize(samples)
+
 
 class TestConfigValidation:
     def test_needs_two_iterations(self):
@@ -84,6 +94,20 @@ class TestConfigValidation:
             desk_config(methods=("heuristic", "gurobi"))
         with pytest.raises(ConfigInvalid):
             desk_config(methods=("random", "random"))
+
+    def test_cell_lists_must_not_repeat(self):
+        # a repeated cell was run twice and written as two CSV rows that read_csv refuses
+        with pytest.raises(ConfigInvalid, match="must not repeat"):
+            desk_config(n_flows_list=(8, 8))
+        with pytest.raises(ConfigInvalid, match="must not repeat"):
+            desk_config(m_list=(3, 4, 3))
+
+    def test_exact_cap_at_most_the_dp_limit(self):
+        assert desk_config(exact_cap=22).exact_cap == 22
+        with pytest.raises(ConfigInvalid, match="exact_cap"):
+            desk_config(exact_cap=23)
+        with pytest.raises(ConfigInvalid, match="exact_cap"):
+            desk_config(exact_cap=-1)
 
     def test_m_must_fit_the_network(self):
         with pytest.raises(ConfigInvalid):
@@ -296,8 +320,8 @@ class TestCellMemo:
         assembled = experiment._CellMemo.instance_text
         seen = []
 
-        def checked(memo, instance):
-            text = assembled(memo, instance)
+        def checked(memo, instance, kept):
+            text = assembled(memo, instance, kept)
             assert text == json.dumps(experiment.instance_to_json(instance), sort_keys=True)
             seen.append(instance.n)
             return text

@@ -14,6 +14,7 @@ from uavsched.errors import NonPositiveDistance, SamplingExhausted, Unreachable
 from uavsched.netgen import (
     HoverParams,
     NetworkParams,
+    PairTable,
     RadioParams,
     generate_network,
     hover_power,
@@ -431,6 +432,94 @@ class TestFlowRouteDraw:
         assert [pair for pair, _ in calls] == [tuple(rng.sample(candidates, 2)) for _ in calls]
         assert sum(routed for _, routed in calls) == len(routes) == 40
         assert any(not routed for _, routed in calls)
+
+
+def crossing_outcome(net, retired, n_flows, seed, max_attempts, table=None):
+    """sampling_outcome of the flows that cross the retiring set: drawn through ``table``, or by the oracle."""
+    if table is None:
+        outcome, after = sampling_outcome(seed_sample_flow_routes, net, retired, n_flows, seed, max_attempts)
+        if not isinstance(outcome, str):
+            outcome = tuple((fid, route) for fid, route in outcome if not retired.isdisjoint(route))
+        return outcome, after
+
+    def through_table(net_, retired_, n_flows_, rng, max_attempts_):
+        kept = sample_flow_routes(net_, retired_, n_flows_, rng, max_attempts_, table=table)
+        return tuple((fid, entry[0]) for fid, entry in kept)
+
+    return sampling_outcome(through_table, net, retired, n_flows, seed, max_attempts)
+
+
+class TestPairTable:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        candidates=st.integers(2, 45),
+        extra=st.integers(1, 5),
+        area_side=st.sampled_from([60.0, 150.0, 400.0, 3000.0]),
+        net_seed=st.integers(0, 10**6),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=4),
+        n_flows=st.integers(1, 40),
+        max_attempts=st.sampled_from([1, 2, 5, 1000]),
+    )
+    def test_draws_through_one_table_equal_random_sample(
+        self, candidates, extra, area_side, net_seed, seeds, n_flows, max_attempts
+    ):
+        # one table serves every draw of a cell: later calls find it partly filled
+        net = generate_network(NetworkParams(num_uavs=candidates + extra, area_side=area_side), seed=net_seed)
+        retired = frozenset(random.Random(net_seed).sample(range(net.num_uavs), extra))
+        table = PairTable(net, retired)
+        for seed in seeds:
+            assert crossing_outcome(net, retired, n_flows, seed, max_attempts, table) == crossing_outcome(
+                net, retired, n_flows, seed, max_attempts
+            )
+
+    @pytest.mark.parametrize("candidates", [2, 3, 21, 22, 45])
+    def test_rejections_and_exhaustion_equal_random_sample(self, candidates):
+        # the layout of TestFlowRouteDraw's test: a quarter to a half of the draws are unreachable
+        net = network_from_layout(
+            NetworkParams(num_uavs=48, area_side=500.0),
+            [(col * (40.0 if col < 3 else 60.0), row * 60.0) for row in range(6) for col in range(8)],
+            [1.0] * 48,
+        )
+        linked = [u for u in range(48) if u % 8 < 3]
+        isolated = [u for u in range(48) if u % 8 >= 3]
+        alternating = [u for pair in zip(linked, isolated) for u in pair] + isolated[len(linked):]
+        retired = frozenset(alternating[candidates:])
+        for max_attempts in (1, 3, 1000):
+            table = PairTable(net, retired)
+            for seed in range(20):
+                got = crossing_outcome(net, retired, 30, seed, max_attempts, table)
+                assert got == crossing_outcome(net, retired, 30, seed, max_attempts)
+
+    def test_one_route_lookup_per_pair(self, monkeypatch):
+        net = generate_network(SPARSE, seed=4)
+        retired = frozenset({2, 4, 18})
+        calls = []
+
+        def recorded(net_, src, dst):
+            calls.append((src, dst))
+            return shortest_route(net_, src, dst)
+
+        monkeypatch.setattr(netgen, "shortest_route", recorded)
+        # without a table every draw is looked up (test_one_route_lookup_per_draw), in draw order
+        plain = [sample_flow_routes(net, retired, 40, random.Random(seed)) for seed in range(30)]
+        draws = calls[:]
+        calls.clear()
+        table = PairTable(net, retired)
+        kept = [sample_flow_routes(net, retired, 40, random.Random(seed), table=table) for seed in range(30)]
+        assert calls == list(dict.fromkeys(draws))
+        assert len(calls) < len(draws) / 5
+        assert sum(entry is not None for entry in table.slots) == len(calls)
+        assert [[(fid, entry[0]) for fid, entry in flows] for flows in kept] == [
+            [(fid, route) for fid, route in flows if not retired.isdisjoint(route)] for flows in plain
+        ]
+
+    def test_a_table_of_another_retiring_set_is_refused(self):
+        net = generate_network(SPARSE, seed=4)
+        table = PairTable(net, {2, 4})
+        with pytest.raises(ValueError, match="another network or retiring set"):
+            sample_flow_routes(net, {2, 5}, 3, random.Random(1), table=table)
+        with pytest.raises(ValueError, match="another network or retiring set"):
+            sample_flow_routes(generate_network(SPARSE, seed=5), {2, 4}, 3, random.Random(1), table=table)
 
 
 class TestNetworkJson:
