@@ -72,19 +72,12 @@ def cmd_gen_instance(args) -> int:
     return 0
 
 
-_METHOD_MAP = {
-    "heuristic": lambda instance, seed: sched.heuristic_schedule(instance),
-    "random": lambda instance, seed: sched.random_schedule(instance, seed),
-    "exact": lambda instance, seed: sched.exact_schedule(instance),
-    "bruteforce": lambda instance, seed: sched.brute_force_schedule(instance),
-}
-
-
 def cmd_schedule(args) -> int:
     instance = model.instance_from_json(_load_json(args.instance))
-    if args.method == "random" and args.seed is None:
-        return _fail("--method random requires --seed", 2)
-    result = _METHOD_MAP[args.method](instance, args.seed)
+    method = sched.METHODS[args.method]
+    if method.seeded and args.seed is None:
+        return _fail(f"--method {args.method} requires --seed", 2)
+    result = method.solve(instance, args.seed, sched.EXACT_CAP_DEFAULT)
     _write_json(
         args.out,
         {
@@ -169,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="schedule an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--method", required=True, choices=sorted(_METHOD_MAP))
+    p.add_argument("--method", required=True, choices=sorted(sched.METHODS))
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_schedule)

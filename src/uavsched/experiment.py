@@ -17,7 +17,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import ConfigInvalid, IoFailure, TooFewSamples, UavschedError, dataclass_from_json, write_text
+from .errors import ConfigInvalid, InstanceTooLarge, IoFailure, TooFewSamples, UavschedError, dataclass_from_json, write_text
 from .model import (
     DEFAULT_TIMINGS,
     RuleTimings,
@@ -26,11 +26,13 @@ from .model import (
     instance_to_json,
     timings_from_json,
 )
-from .netgen import NetworkParams, PairTable, generate_network, sample_flow_routes, sample_retired_set
-from .sched import EXACT_CAP_DEFAULT, exact_schedule_dp, heuristic_schedule, random_schedule
+from .netgen import MAX_FLOWS, NetworkParams, PairTable, generate_network, sample_flow_routes, sample_retired_set
+from .sched import EXACT_CAP_DEFAULT, METHODS
+# perfbench/spans.py rebinds these names in this module; the experiment reaches them through METHODS
+from .sched import exact_schedule_dp, heuristic_schedule, random_schedule  # noqa: F401
 import random
 
-METHODS = ("exact_dp", "heuristic", "random")
+MAX_ITERATIONS = 100_000
 
 CSV_COLUMNS = ("m", "n_f", "method", "k", "mean_energy_j", "se_j", "ci_lo_j", "ci_hi_j", "mean_runtime_s")
 
@@ -54,13 +56,13 @@ class ExperimentConfig:
     svg_runtime_path: str | None = None
 
     def __post_init__(self):
-        if self.iterations < 2:
-            raise ConfigInvalid(f"iterations must be at least 2, got {self.iterations}")
+        if not 2 <= self.iterations <= MAX_ITERATIONS:
+            raise ConfigInvalid(f"iterations must be in [2, {MAX_ITERATIONS}], got {self.iterations}")
         if not self.methods:
             raise ConfigInvalid("methods must not be empty")
         for method in self.methods:
             if method not in METHODS:
-                raise ConfigInvalid(f"unknown method {method!r}; choose from {METHODS}")
+                raise ConfigInvalid(f"unknown method {method!r}; choose from {tuple(METHODS)}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigInvalid("methods must not repeat")
         if not self.n_flows_list or not self.m_list:
@@ -71,8 +73,8 @@ class ExperimentConfig:
             if not 0 <= m < self.network.num_uavs:
                 raise ConfigInvalid(f"m={m} must be in [0, num_uavs)")
         for n_f in self.n_flows_list:
-            if n_f < 1:
-                raise ConfigInvalid(f"n_flows={n_f} must be positive")
+            if not 1 <= n_f <= MAX_FLOWS:
+                raise ConfigInvalid(f"n_flows={n_f} must be in [1, {MAX_FLOWS}]")
         if not 0 <= self.exact_cap <= EXACT_CAP_DEFAULT:
             # exact_dp keeps two tables of 2^n entries per instance
             raise ConfigInvalid(f"exact_cap must be in [0, {EXACT_CAP_DEFAULT}], got {self.exact_cap}")
@@ -190,16 +192,12 @@ def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, k: int, memo
     text = memo.instance_text(instance, kept)
     outcomes = {}
     for method in config.methods:
-        if method == "heuristic":
-            result = heuristic_schedule(instance)
-        elif method == "random":
-            result = random_schedule(instance, _derive_seed(config.master_seed, "random", n_f, m, k))
-        else:  # exact_dp, skipped beyond the cap
-            if instance.n > config.exact_cap:
-                outcomes[method] = None
-                continue
-            result = exact_schedule_dp(instance, max_flows=config.exact_cap)
-        outcomes[method] = (result.energy, result.wall_time)
+        seed = _derive_seed(config.master_seed, method, n_f, m, k) if METHODS[method].seeded else None
+        try:
+            result = METHODS[method].solve(instance, seed, config.exact_cap)
+            outcomes[method] = (result.energy, result.wall_time)
+        except InstanceTooLarge:  # past the method's cap: the iteration is skipped
+            outcomes[method] = None
     return hashlib.blake2b(text.encode("ascii"), digest_size=8).hexdigest(), outcomes
 
 
@@ -221,14 +219,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
             iterations = [_run_iteration(config, net, n_f, m, k, memo) for k in range(config.iterations)]
             digests[(n_f, m)] = tuple(digest for digest, _ in iterations)
             for method in config.methods:
-                samples = []
-                runtimes = []
-                for _, outcomes in iterations:
-                    outcome = outcomes[method]
-                    if outcome is None:
-                        continue
-                    samples.append(outcome[0])
-                    runtimes.append(outcome[1])
+                ran = [outcomes[method] for _, outcomes in iterations if outcomes[method] is not None]
+                samples = [energy for energy, _ in ran]
+                runtimes = [runtime for _, runtime in ran]
                 if len(samples) < 2:
                     continue  # skipped cell: too few samples to summarize
                 try:
@@ -320,7 +313,7 @@ def read_csv(source) -> tuple[CellStats, ...]:
             raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(values)}")
         row = dict(zip(CSV_COLUMNS, values))
         if row["method"] not in METHODS:
-            raise ValueError(f"{where} method: expected one of {METHODS}, got {row['method']!r}")
+            raise ValueError(f"{where} method: expected one of {tuple(METHODS)}, got {row['method']!r}")
         cell = CellStats(
             n_f=_csv_number(row, "n_f", int, where),
             m=_csv_number(row, "m", int, where),

@@ -13,6 +13,12 @@ import random
 
 from .errors import NonPositiveDistance, SamplingExhausted, Unreachable, dataclass_from_json, json_scalar, schema_errors
 
+# Input size limits, checked before anything is built: the link graph tests
+# every pair of UAVs, a sweep cell keeps a slot per ordered pair of them, and
+# each flow is drawn and routed in turn
+MAX_UAVS = 1000
+MAX_FLOWS = 100_000
+
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -59,8 +65,8 @@ class NetworkParams:
     hover: HoverParams = field(default_factory=HoverParams)
 
     def __post_init__(self):
-        if self.num_uavs < 2:
-            raise ValueError(f"num_uavs must be at least 2, got {self.num_uavs}")
+        if not 2 <= self.num_uavs <= MAX_UAVS:
+            raise ValueError(f"num_uavs must be in [2, {MAX_UAVS}], got {self.num_uavs}")
         if not self.area_side > 0:
             raise ValueError(f"area_side must be positive, got {self.area_side!r}")
         if not self.mass_choices:
@@ -327,6 +333,8 @@ def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attem
 
 def sample_scenario(net: UavNetwork, n_flows: int, n_retired: int, seed: int):
     """Sample a replacement scenario: the retiring set first, then the flows."""
+    if not 0 <= n_flows <= MAX_FLOWS:
+        raise ValueError(f"flow count must be in [0, {MAX_FLOWS}], got {n_flows}")
     rng = random.Random(seed)
     retired = sample_retired_set(net, n_retired, rng)
     routes = sample_flow_routes(net, retired, n_flows, rng)

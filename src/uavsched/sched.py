@@ -7,9 +7,10 @@ a retiring UAV's cost is charged at the step that completes the last of its
 flows.  Over UAV sets: once the UAVs finish in a fixed order, handing each
 UAV's remaining flows over as one block just before it finishes is optimal.
 A brute-force permutation enumerator serves as an independent oracle at
-small sizes.
+small sizes.  METHODS names every scheduler the CLI and experiments run.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import permutations
 from operator import add
@@ -162,10 +163,10 @@ def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_
     return _result(instance, order, "exact_dp", wall)
 
 
-def exact_schedule(instance: ReplacementInstance) -> SolverResult:
+def exact_schedule(instance: ReplacementInstance, cap: int = EXACT_CAP_DEFAULT) -> SolverResult:
     """Globally optimal schedule via a subset DP over the smaller side.
 
-    With n <= m this is ``exact_schedule_dp(instance)``, method label and tie
+    With n <= m this is ``exact_schedule_dp(instance, cap)``, method label and tie
     rule included.  Otherwise the DP runs over UAV subsets U: best(U) = min
     over j in U of best(U - j) + P_j * T(U), where T(U) is the total
     handover time of the flows crossing any UAV of U, read from a subset sum
@@ -173,16 +174,13 @@ def exact_schedule(instance: ReplacementInstance) -> SolverResult:
     Tie rule: working back from the full set, the lowest UAV id attaining
     the minimum finishes last; the flows are then handed over block by block
     in that UAV order, each block (the UAV's flows not yet handed over) in
-    ascending flow id.  InstanceTooLarge only when both n and m exceed
-    EXACT_CAP_DEFAULT.
+    ascending flow id.  InstanceTooLarge when min(n, m) exceeds ``cap``.
     """
     n, m = instance.n, instance.m
     if n <= m:
-        return exact_schedule_dp(instance)
-    if m > EXACT_CAP_DEFAULT:
-        raise InstanceTooLarge(
-            f"exact solver capped at {EXACT_CAP_DEFAULT} flows or UAVs, instance has {n} flows and {m} UAVs"
-        )
+        return exact_schedule_dp(instance, cap)
+    if m > cap:
+        raise InstanceTooLarge(f"exact solver capped at {cap} flows or UAVs, instance has {n} flows and {m} UAVs")
     start = time.perf_counter()
     powers = instance.powers
     size = 1 << m
@@ -243,3 +241,21 @@ def brute_force_schedule(instance: ReplacementInstance, max_flows: int = BRUTE_F
             best_order = order
     wall = time.perf_counter() - start
     return _result(instance, best_order, "brute_force", wall)
+
+
+@dataclass(frozen=True)
+class Method:
+    """A named scheduler: ``solve(instance, seed, cap)``, and whether it needs a seed."""
+
+    solve: Callable[[ReplacementInstance, int | None, int], SolverResult]
+    seeded: bool = False
+
+
+# Each entry raises InstanceTooLarge past its cap and looks its solver up when called (tracers rebind them)
+METHODS = {
+    "heuristic": Method(lambda instance, seed, cap: heuristic_schedule(instance)),
+    "random": Method(lambda instance, seed, cap: random_schedule(instance, seed), seeded=True),
+    "exact": Method(lambda instance, seed, cap: exact_schedule(instance, cap)),
+    "exact_dp": Method(lambda instance, seed, cap: exact_schedule_dp(instance, cap)),
+    "bruteforce": Method(lambda instance, seed, cap: brute_force_schedule(instance, min(cap, BRUTE_FORCE_CAP))),
+}

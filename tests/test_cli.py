@@ -16,10 +16,11 @@ import pytest
 
 import uavsched
 from uavsched.cli import main
-from uavsched.experiment import CSV_COLUMNS, ExperimentConfig, read_csv
-from uavsched.model import DEFAULT_TIMINGS, instance_from_parts, instance_to_json, timings_to_json
-from uavsched.netgen import HoverParams, NetworkParams, RadioParams
-from uavsched.sched import exact_schedule_dp
+from uavsched import experiment, netgen
+from uavsched.experiment import CSV_COLUMNS, MAX_ITERATIONS, ExperimentConfig, read_csv
+from uavsched.model import DEFAULT_TIMINGS, Schedule, compute_energy, instance_from_parts, instance_to_json, timings_to_json
+from uavsched.netgen import MAX_FLOWS, MAX_UAVS, HoverParams, NetworkParams, RadioParams
+from uavsched.sched import METHODS, exact_schedule_dp
 
 from helpers import dyadic_time, reference_instance
 
@@ -165,6 +166,16 @@ class TestSchedule:
         out = tmp_path / "res.json"
         assert main(["schedule", "--instance", reference_file, "--method", "heuristic", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["energy_j"] == pytest.approx(47.0, rel=1e-9)
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_every_table_method_schedules_the_worked_example(self, tmp_path, reference_file, method):
+        out = tmp_path / "res.json"
+        seed = ["--seed", "3"] if METHODS[method].seeded else []
+        assert main(["schedule", "--instance", reference_file, "--method", method, *seed, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert sorted(doc["schedule"]) == [0, 1, 2, 3]
+        assert doc["energy_j"] == compute_energy(reference_instance(), Schedule(tuple(doc["schedule"]))).total_energy
+        assert doc["energy_j"] >= 46.0 - 1e-9  # the optimum
 
     def test_random_requires_seed(self, tmp_path, reference_file):
         out = tmp_path / "res.json"
@@ -427,6 +438,49 @@ class TestMalformedFields:
         assert not csv_path.exists()
 
 
+class TestSizeLimits:
+    """Each documented size limit, at limit + 1, exits 2 before anything is generated or sampled."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_generated(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("generated or sampled past a size limit")
+
+        for module in (netgen, experiment):
+            monkeypatch.setattr(module, "generate_network", refuse)
+        monkeypatch.setattr(netgen, "sample_flow_routes", refuse)
+
+    @pytest.mark.parametrize("num_uavs", [MAX_UAVS + 1, 2.0397015179986224e16])
+    def test_gen_network_num_uavs(self, tmp_path, capsys, num_uavs):
+        params = write_json(tmp_path / "p.json", {"num_uavs": num_uavs})
+        assert main(["gen-network", "--params", params, "--seed", "1", "--out", str(tmp_path / "net.json")]) == 2
+        assert f"num_uavs must be in [2, {MAX_UAVS}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--flows", MAX_FLOWS + 1, f"flow count must be in [0, {MAX_FLOWS}]"),
+        ("--flows", -1, f"flow count must be in [0, {MAX_FLOWS}]"),
+        ("--retired", 12, "retiring count must be in [0, 12)"),
+    ])
+    def test_gen_instance_flows_and_retired(self, tmp_path, capsys, flag, value, message):
+        doc = {"params": {"num_uavs": 12, "area_side": 100.0},
+               "uavs": [{"id": u, "x": 10.0 * u, "y": 0.0, "mass_kg": 1.0} for u in range(12)]}
+        net = write_json(tmp_path / "net.json", doc)
+        sizes = {"--flows": 4, "--retired": 2, flag: value}
+        argv = ["gen-instance", "--network", net, *(str(a) for item in sizes.items() for a in item)]
+        assert main([*argv, "--seed", "1", "--out", str(tmp_path / "inst.json")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("iterations", MAX_ITERATIONS + 1, f"iterations must be in [2, {MAX_ITERATIONS}]"),
+        ("n_flows_list", [8, MAX_FLOWS + 1], f"must be in [1, {MAX_FLOWS}]"),
+        ("network", {"num_uavs": MAX_UAVS + 1}, f"num_uavs must be in [2, {MAX_UAVS}]"),
+    ])
+    def test_experiment(self, tmp_path, capsys, field, value, message):
+        cfg = write_json(tmp_path / "cfg.json", dict(DESK_CONFIG, **{field: value}))
+        assert main(["experiment", "--config", cfg, "--csv", str(tmp_path / "out.csv")]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestExportIlp:
     def test_reference_instance_has_72_binaries(self, tmp_path, reference_file):
         out = tmp_path / "model.lp"
@@ -485,6 +539,16 @@ class TestExperimentAndPlot:
         out_svg = tmp_path / "runtime.svg"
         assert main(["plot", "--csv", str(tmp_path / "out.csv"), "--metric", "runtime", "--out", str(out_svg)]) == 0
         assert out_svg.read_text().endswith("</svg>\n")
+
+    def test_every_table_method_through_experiment_and_plot(self, tmp_path):
+        # exact_cap 8 holds every desk instance, so no method skips an iteration
+        config = dict(DESK_CONFIG, methods=sorted(METHODS), csv_path=str(tmp_path / "out.csv"))
+        assert main(["experiment", "--config", write_json(tmp_path / "cfg.json", config)]) == 0
+        cells = read_csv(tmp_path / "out.csv")
+        assert {(c.m, c.method) for c in cells} == {(m, method) for m in (3, 4) for method in METHODS}
+        assert {c.count for c in cells} == {4}
+        out = tmp_path / "e.svg"
+        assert main(["plot", "--csv", str(tmp_path / "out.csv"), "--metric", "energy", "--out", str(out)]) == 0
 
     def test_csv_override_flag(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", DESK_CONFIG)
@@ -720,7 +784,7 @@ FUZZ_VALUES = st.recursive(
     | st.floats(0.01, 500.0)
     | st.sampled_from([1e308, -1e308, 5e-324, 1e-200, 10**400])
     | st.text(max_size=3)
-    | st.sampled_from(["heuristic", "random", "exact_dp"]),
+    | st.sampled_from(sorted(METHODS)),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
     max_leaves=6,
 )
@@ -771,25 +835,29 @@ class TestSubcommandFuzz:
     """Documents with the real field names and arbitrary values: a documented exit, valid JSON out, no traceback.
 
     Networks keep at most 12 UAVs, sweeps 2 iterations and 8 flows per
-    instance, and exact_cap at most 8 unless it is past the DP limit, so
-    every example runs in milliseconds.
+    instance, and exact_cap at most 8, unless a value is past its documented
+    limit and so is refused before anything is built; every example runs in
+    milliseconds.
     """
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         params=PARAMS_DOCS,
         seed=st.integers(0, 2**32),
-        flows=st.integers(0, 8),
-        retired=st.integers(0, 12),
+        flows=st.integers(0, 8) | st.integers(min_value=MAX_FLOWS + 1),
+        retired=st.integers(0, 12) | st.integers(min_value=MAX_UAVS),
         taus=st.lists(st.none() | st.floats() | st.sampled_from([1e308, 1.7e308]), min_size=3, max_size=3),
     )
     # the handover times of these instances are finite; the first one's t_ms
     # are not, and the second one's energy is not
     @example(params={}, seed=1, flows=5, retired=2, taus=[1e308, None, None])
     @example(params={"mass_choices": [50.0]}, seed=1, flows=5, retired=2, taus=[None, None, 1e308])
+    # past the size limits: refused with exit 2, nothing allocated
+    @example(params={"num_uavs": 2.0397015179986224e16}, seed=1, flows=5, retired=2, taus=[None, None, None])
+    @example(params={}, seed=1, flows=MAX_FLOWS + 1, retired=2, taus=[None, None, None])
     def test_gen_network_gen_instance_schedule(self, params, seed, flows, retired, taus):
         params = {"num_uavs": 12, "area_side": 100.0, **params}
-        small(params, "num_uavs", 12)
+        small(params, "num_uavs", 12, keep_above=MAX_UAVS)
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             net, inst, scen, out = (tmp / name for name in ("net.json", "inst.json", "scen.json", "out.json"))
@@ -821,15 +889,16 @@ class TestSubcommandFuzz:
     @given(config=CONFIG_DOCS)
     # energies of about 1e307 J: a finite mean whose spread overflows
     @example(config={"timings": {"tau_del_ms": 1e308, "tau_ins_ms": 1e308}})
+    @example(config={"iterations": 10**10, "n_flows_list": [10**10], "network": {"num_uavs": 2e16}})
     def test_experiment(self, config):
         base = {"network": {"num_uavs": 12, "area_side": 100.0}, "n_flows_list": [5], "m_list": [2],
                 "iterations": 2, "methods": ["heuristic", "random", "exact_dp"], "exact_cap": 8}
         config = {**base, **config}
         if isinstance(config["network"], dict):
             config["network"] = {**base["network"], **config["network"]}
-            small(config["network"], "num_uavs", 12)
-        small(config, "iterations", 2)
-        small(config, "n_flows_list", 8)
+            small(config["network"], "num_uavs", 12, keep_above=MAX_UAVS)
+        small(config, "iterations", 2, keep_above=MAX_ITERATIONS)
+        small(config, "n_flows_list", 8, keep_above=MAX_FLOWS)
         small(config, "exact_cap", 8, keep_above=22)
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)

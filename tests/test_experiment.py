@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -9,9 +10,12 @@ import re
 
 import pytest
 
+import uavsched
+import uavsched.cli
 from uavsched import experiment
 from uavsched.errors import ConfigInvalid, TooFewSamples
 from uavsched.experiment import (
+    MAX_ITERATIONS,
     CellStats,
     ExperimentConfig,
     config_from_json,
@@ -23,10 +27,12 @@ from uavsched.experiment import (
     svg_text,
     write_csv,
 )
-from uavsched.netgen import NetworkParams
+from uavsched.netgen import MAX_FLOWS, NetworkParams
+from uavsched.sched import METHODS
 
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def script_config(name: str, **overrides) -> ExperimentConfig:
@@ -109,6 +115,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="exact_cap"):
             desk_config(exact_cap=-1)
 
+    def test_size_limits(self):
+        # checked in the config, before a network is generated or a flow sampled
+        assert desk_config(iterations=MAX_ITERATIONS).iterations == MAX_ITERATIONS
+        assert desk_config(n_flows_list=(MAX_FLOWS,)).n_flows_list == (MAX_FLOWS,)
+        with pytest.raises(ConfigInvalid, match="iterations"):
+            desk_config(iterations=MAX_ITERATIONS + 1)
+        with pytest.raises(ConfigInvalid, match="n_flows"):
+            desk_config(n_flows_list=(8, MAX_FLOWS + 1))
+
     def test_m_must_fit_the_network(self):
         with pytest.raises(ConfigInvalid):
             desk_config(m_list=(20,))
@@ -146,9 +161,15 @@ class TestRunExperiment:
             assert cell.count == 3
 
     def test_every_method_contributes_a_cell_per_configuration(self):
-        result = run_experiment(desk_config())
-        keys = {(c.n_f, c.m, c.method) for c in result.cells}
-        assert keys == {(8, m, method) for m in (3, 4) for method in ("heuristic", "random", "exact_dp")}
+        # exact_cap 8 holds every desk instance, so each method runs on every iteration
+        result = run_experiment(desk_config(methods=tuple(METHODS)))
+        cells = {(c.n_f, c.m, c.method): c for c in result.cells}
+        assert set(cells) == {(8, m, method) for m in (3, 4) for method in METHODS}
+        assert {c.count for c in result.cells} == {4}
+        for m in (3, 4):
+            optimum = cells[(8, m, "exact_dp")].samples
+            for method in ("exact", "bruteforce"):
+                assert cells[(8, m, method)].samples == pytest.approx(optimum, rel=1e-12)
 
     def test_deterministic_across_runs(self):
         a = run_experiment(desk_config())
@@ -173,13 +194,12 @@ class TestRunExperiment:
         assert full_heuristic == partial_heuristic
 
     def test_exact_skipped_beyond_cap(self):
-        # every desk iteration has n >= 1, so a zero cap starves the exact
-        # solver entirely: its cells are absent and its CSV rows omitted
-        result = run_experiment(desk_config(exact_cap=0))
+        # every desk iteration has n >= 1 and m >= 1, so a zero cap starves
+        # every capped solver entirely: its cells are absent and its CSV rows omitted
+        result = run_experiment(desk_config(exact_cap=0, methods=tuple(METHODS)))
         methods = {c.method for c in result.cells}
-        assert "exact_dp" not in methods
-        assert {"heuristic", "random"} <= methods
-        assert "exact_dp" not in csv_text(result.cells)
+        assert methods == {"heuristic", "random"}
+        assert "exact" not in csv_text(result.cells)
 
     def test_exact_energy_never_above_heuristic(self):
         result = run_experiment(desk_config())
@@ -300,6 +320,50 @@ class TestPaperScaleTrends:
                 assert means[(method, n_f, 10)] > means[(method, n_f, 5)]
             for m in (5, 10):
                 assert means[(method, 100, m)] > means[(method, 70, m)]
+
+
+class TestPaperScaleOptimum:
+    def test_exact_runs_every_iteration_of_the_paper_sweep(self):
+        result = run_experiment(script_config("full_sweep.json", methods=("heuristic", "exact")))
+        assert len(result.cells) == 2 * 12
+        assert {c.count for c in result.cells} == {200}
+
+    def test_exact_equals_the_flow_dp_and_never_exceeds_the_heuristic(self, monkeypatch):
+        # one cell of the paper sweep, paired per iteration: exact runs on all
+        # of them (m = 10), the flow DP on those with at most 12 flows
+        outcomes = []
+        run_iteration = experiment._run_iteration
+
+        def record(*args):
+            digest, found = run_iteration(*args)
+            outcomes.append(found)
+            return digest, found
+
+        monkeypatch.setattr(experiment, "_run_iteration", record)
+        methods = ("heuristic", "exact", "exact_dp")
+        run_experiment(script_config("full_sweep.json", n_flows_list=(70,), m_list=(10,), methods=methods, exact_cap=12))
+        assert len(outcomes) == 200 and all(found["exact"] for found in outcomes)
+        both = [found for found in outcomes if found["exact_dp"]]
+        assert len(both) >= 20
+        for found in both:
+            assert found["exact"][0] == pytest.approx(found["exact_dp"][0], rel=1e-12)
+        for found in outcomes:  # equal energies may differ in the last bit
+            assert found["exact"][0] <= found["heuristic"][0] * (1 + 1e-12)
+
+
+class TestBenchmarkHooks:
+    def test_the_tracer_sees_exact_dp_calls_through_the_method_table(self):
+        # perfbench/spans.py rebinds names in uavsched's modules; a method
+        # table entry that captured its solver would hide every call from it
+        spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        original = uavsched.sched.exact_schedule_dp
+        tracer = spans.Tracer()
+        with tracer.installed(uavsched):
+            run_experiment(desk_config(m_list=(3,), iterations=2, methods=("heuristic", "exact_dp")))
+        assert tracer.counters["exact_dp_calls"] > 0
+        assert uavsched.sched.exact_schedule_dp is original and experiment.exact_schedule_dp is original
 
 
 def sweep_fingerprint(config: ExperimentConfig) -> tuple[str, str]:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from uavsched import netgen
 from uavsched.errors import NonPositiveDistance, SamplingExhausted, Unreachable
 from uavsched.netgen import (
+    MAX_FLOWS,
+    MAX_UAVS,
     HoverParams,
     NetworkParams,
     PairTable,
@@ -148,6 +150,13 @@ class TestGenerateNetwork:
             RadioParams(noise_power=0.0)
         with pytest.raises(ValueError):
             HoverParams(prop_radius=-1.0)
+
+    def test_num_uavs_limit(self):
+        # checked in the params, before any UAV is placed
+        assert NetworkParams(num_uavs=MAX_UAVS).num_uavs == MAX_UAVS
+        for count in (MAX_UAVS + 1, 2 * 10**16):
+            with pytest.raises(ValueError, match="num_uavs"):
+                NetworkParams(num_uavs=count)
 
 
 def grid_network(rows, cols, spacing=30.0):
@@ -339,6 +348,17 @@ class TestSampleScenario:
         net = generate_network(NetworkParams(num_uavs=10, area_side=60.0), seed=4)
         with pytest.raises(ValueError):
             sample_scenario(net, 2, 10, seed=1)
+
+    def test_flow_count_limit(self, monkeypatch):
+        net = generate_network(NetworkParams(num_uavs=10, area_side=60.0), seed=4)
+        assert len(sample_scenario(net, 3, 2, seed=1)[0]) == 3
+
+        def refuse(*args, **kwargs):
+            pytest.fail("a flow was sampled past the limit")
+
+        monkeypatch.setattr(netgen, "sample_flow_routes", refuse)
+        with pytest.raises(ValueError, match="flow count"):
+            sample_scenario(net, MAX_FLOWS + 1, 2, seed=1)
 
 
 def seed_sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attempts: int = 1000):
