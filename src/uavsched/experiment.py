@@ -141,13 +141,14 @@ class _CellMemo:
     ``table`` is the cell's PairTable: each endpoint pair is routed once,
     and only the flows that cross the retiring set reach build_instance.
     The note of a crossing pair's entry keeps the flow's entry in the
-    instance's JSON text as the text before and after its id.  That text
-    depends on the flow's handover time, UAV set and rule counts alone, and
-    many pairs share them, so ``fragments`` renders it once per such key
-    when a pair's note is first set.  ``uavs`` is the same object on every
-    call, so build_instance recognises it at once, and ``cache`` is
-    build_instance's route cache.  ``tail``, the text after the flows, is
-    the same for every instance of the cell.
+    instance's JSON text as the text before and after its id, the flow's
+    position.  That text depends on the flow's FlowSpec alone, and many
+    pairs share one, so ``fragments`` renders it once per FlowSpec value
+    when a pair's note is first set.  ``cache`` is build_instance's route
+    cache, mapping each route to its FlowSpec, and ``uavs`` the retiring
+    set that every call passes and build_instance compares by value with
+    the one the cache was filled for.  ``tail``, the text after the flows,
+    is the same for every instance of the cell.
     """
 
     def __init__(self, net, retired):
@@ -167,16 +168,15 @@ class _CellMemo:
             del doc["flows"]
             self.tail = json.dumps(doc, sort_keys=True)[1:]
         parts = []
-        for flow, (_, entry) in zip(instance.flows, kept):
+        for fid, (flow, (_, entry)) in enumerate(zip(instance.flows, kept)):
             fragment = entry[1]
             if fragment is None:
-                key = (flow.handover_time, flow.retired_set, flow.rule_counts)
-                fragment = self.fragments.get(key)
+                fragment = self.fragments.get(flow)
                 if fragment is None:
-                    head, id_key, rest = json.dumps(flow_to_json(flow), sort_keys=True).partition('"id": ')
-                    fragment = self.fragments[key] = (head + id_key, rest[len(str(flow.id)):])
+                    head, id_key, rest = json.dumps(flow_to_json(fid, flow), sort_keys=True).partition('"id": ')
+                    fragment = self.fragments[flow] = (head + id_key, rest[len(str(fid)):])
                 entry[1] = fragment
-            parts.append(f"{fragment[0]}{flow.id}{fragment[1]}")
+            parts.append(f"{fragment[0]}{fid}{fragment[1]}")
         return '{"flows": [' + ", ".join(parts) + "], " + self.tail
 
 

@@ -10,7 +10,6 @@ the cumulative finish time of the last flow of relay j.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 import math
 
 from .errors import (
@@ -77,14 +76,13 @@ class RuleCounts:
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """One flow that crosses the retiring set.
+    """One flow that crosses the retiring set; its id is its index in the instance.
 
     ``retired_set`` holds the dense ids of the retiring UAVs this flow
     traverses; ``rule_counts`` is kept when the flow was derived from a
     concrete route and is None for instances given directly in time form.
     """
 
-    id: int
     handover_time: float
     retired_set: frozenset[int]
     rule_counts: RuleCounts | None = None
@@ -135,7 +133,7 @@ def rule_counts_from_route(route, retired) -> RuleCounts:
 class ReplacementInstance:
     """Flows, the hover powers of the retiring UAVs, and the rule timings.
 
-    Identifiers are dense (flows 0..n-1, UAVs 0..m-1 with power powers[j]).
+    Identifiers are positions (flow i is flows[i], UAV j has power powers[j]).
     Each flow lists the retiring UAVs it crosses; the dual view, the flows
     pinning each UAV, is derived from those lists.
     """
@@ -145,14 +143,12 @@ class ReplacementInstance:
     timings: RuleTimings = DEFAULT_TIMINGS
 
     def __post_init__(self):
-        n, m = len(self.flows), len(self.powers)
+        m = len(self.powers)
         for j, power in enumerate(self.powers):
             if not (math.isfinite(power) and power >= 0):
                 raise InvalidInstance(f"UAV {j}: hover_power must be non-negative, got {power!r}")
         timings = self.timings
         for i, flow in enumerate(self.flows):
-            if flow.id != i:
-                raise InvalidInstance(f"flow ids must be dense 0..{n - 1}, found {flow.id} at index {i}")
             if not flow.retired_set:
                 raise InvalidInstance(f"flow {i} crosses no retiring UAV and does not belong in an instance")
             for j in flow.retired_set:
@@ -188,9 +184,9 @@ class ReplacementInstance:
     def flow_sets(self) -> tuple[tuple[int, ...], ...]:
         """For each UAV, the ascending ids of the flows that cross it."""
         members: list[list[int]] = [[] for _ in self.powers]
-        for flow in self.flows:
+        for i, flow in enumerate(self.flows):
             for j in flow.retired_set:
-                members[j].append(flow.id)
+                members[j].append(i)
         return tuple(map(tuple, members))
 
     @cached_property
@@ -204,10 +200,7 @@ class ReplacementInstance:
 
 def instance_from_parts(times, deltas, powers, timings: RuleTimings = DEFAULT_TIMINGS) -> ReplacementInstance:
     """Build an instance from handover times, per-flow UAV sets, and powers."""
-    flows = tuple(
-        FlowSpec(id=i, handover_time=t, retired_set=frozenset(delta))
-        for i, (t, delta) in enumerate(zip(times, deltas))
-    )
+    flows = tuple(FlowSpec(handover_time=t, retired_set=frozenset(delta)) for t, delta in zip(times, deltas))
     return ReplacementInstance(flows=flows, powers=tuple(powers), timings=timings)
 
 
@@ -281,44 +274,20 @@ class InstanceBuild:
     uav_ids: tuple[int, ...]
 
 
-# build_instance keeps what it derived from the retiring set and timings a
-# cache was filled for under this key
+# build_instance keeps the retiring set and timings a cache was filled for
+# under this key
 _FILLED_FOR = object()
-_UNSEEN = object()
 
 
-def _route_entry(fid, nodes: tuple, retired_ids: set, dense_of_uav: dict, timings: RuleTimings):
-    """What a route derives to under a retiring set, or None when it misses the set."""
+def _route_flow(fid, nodes: tuple, retired_ids: set, dense_of_uav: dict, timings: RuleTimings):
+    """The flow a route derives to under a retiring set, or None when it misses the set."""
     if len(nodes) < 2 or len(set(nodes)) != len(nodes):
         raise ValueError(f"flow {fid}: route must contain at least two distinct nodes, got {list(nodes)!r}")
     hit = retired_ids.intersection(nodes)
     if not hit:
         return None
     counts = rule_counts_from_route(nodes, retired_ids)
-    return handover_time(counts, timings), frozenset(dense_of_uav[u] for u in hit), counts
-
-
-def _retiring_frame(flows, retired_uavs, timings: RuleTimings, cache: dict):
-    """Check the retiring set against the flows and the cache, and remember it in the cache."""
-    given = retired_uavs
-    retired_uavs = sorted(retired_uavs, key=lambda item: item[0])
-    if not flows and not retired_uavs:
-        raise EmptyInstance("no flows and no retiring UAVs given")
-    uav_original = tuple(uid for uid, _ in retired_uavs)
-    if len(set(uav_original)) != len(uav_original):
-        raise ValueError(f"retiring UAV ids must be unique, got {list(uav_original)!r}")
-    filled_for = (tuple(map(tuple, retired_uavs)), timings)
-    filled = cache.get(_FILLED_FOR)
-    if filled is not None and filled[2] != filled_for:
-        raise ValueError("route cache was filled for another retiring set or other timings")
-    frame = (
-        uav_original,
-        tuple(power for _, power in retired_uavs),
-        {uid: j for j, uid in enumerate(uav_original)},
-        set(uav_original),
-    )
-    cache[_FILLED_FOR] = (given, timings, filled_for, frame)
-    return frame
+    return FlowSpec(handover_time(counts, timings), frozenset(dense_of_uav[u] for u in hit), counts)
 
 
 def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, cache=None) -> InstanceBuild:
@@ -331,50 +300,51 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
     ids returned alongside.
 
     ``cache``, a dict the caller creates empty and passes to every call with
-    the same retiring set and timings, maps each route seen to
-    ``(handover_time, retired_set, rule_counts)``, or to None when the route
-    misses the retiring set.  A route is checked once, when its entry is
-    made.  The cache remembers the retiring set and timings it was filled
-    for; other ones raise ValueError.  Given the very objects of the last
-    call again, it takes them as unchanged without comparing them, so a
-    caller that reuses ``retired_uavs`` must not mutate it.
+    the same retiring set and timings, maps each route seen to its FlowSpec,
+    or to None when the route misses the retiring set.  A route is checked
+    once, when its entry is made, and builds that see it again share that
+    FlowSpec.  The cache remembers the retiring set and timings it was
+    filled for and compares every call's with them; other ones raise
+    ValueError.
     """
     flows = list(flows)
+    retired_uavs = sorted(retired_uavs, key=lambda item: item[0])
+    if not flows and not retired_uavs:
+        raise EmptyInstance("no flows and no retiring UAVs given")
+    uav_original = tuple(uid for uid, _ in retired_uavs)
+    retired_ids = set(uav_original)
+    if len(retired_ids) != len(uav_original):
+        raise ValueError(f"retiring UAV ids must be unique, got {list(uav_original)!r}")
     if cache is None:
         cache = {}
-    filled = cache.get(_FILLED_FOR)
-    if filled is not None and filled[0] is retired_uavs and filled[1] is timings:
-        uav_original, powers, dense_of_uav, retired_ids = filled[3]
-        if not flows and not uav_original:
-            raise EmptyInstance("no flows and no retiring UAVs given")
-    else:
-        uav_original, powers, dense_of_uav, retired_ids = _retiring_frame(flows, retired_uavs, timings, cache)
-
-    fids, routes = zip(*flows) if flows else ((), ())
-    keys = list(map(tuple, routes))
-    entries = list(map(cache.get, keys, repeat(_UNSEEN)))
-    if _UNSEEN in entries or len(set(fids)) != len(fids):
-        seen_flow_ids = set()
-        for i, (fid, nodes) in enumerate(zip(fids, keys)):
-            if fid in seen_flow_ids:
-                raise ValueError(f"duplicate flow id {fid!r}")
-            seen_flow_ids.add(fid)
-            entry = cache.get(nodes, _UNSEEN)
-            if entry is _UNSEEN:
-                entry = cache[nodes] = _route_entry(fid, nodes, retired_ids, dense_of_uav, timings)
-            entries[i] = entry
-    if None in entries:
-        fids = tuple(fid for fid, entry in zip(fids, entries) if entry is not None)
-        entries = [entry for entry in entries if entry is not None]
-    specs = tuple(map(FlowSpec, range(len(entries)), *zip(*entries)))
-    instance = ReplacementInstance(flows=specs, powers=powers, timings=timings)
-    return InstanceBuild(instance=instance, flow_ids=fids, uav_ids=uav_original)
+    filled_for = (tuple(map(tuple, retired_uavs)), timings)
+    if cache.setdefault(_FILLED_FOR, filled_for) != filled_for:
+        raise ValueError("route cache was filled for another retiring set or other timings")
+    dense_of_uav = {uid: j for j, uid in enumerate(uav_original)}
+    seen_flow_ids = set()
+    flow_ids = []
+    specs = []
+    for fid, route in flows:
+        if fid in seen_flow_ids:
+            raise ValueError(f"duplicate flow id {fid!r}")
+        seen_flow_ids.add(fid)
+        nodes = tuple(route)
+        if nodes in cache:
+            spec = cache[nodes]
+        else:
+            spec = cache[nodes] = _route_flow(fid, nodes, retired_ids, dense_of_uav, timings)
+        if spec is not None:
+            flow_ids.append(fid)
+            specs.append(spec)
+    powers = tuple(power for _, power in retired_uavs)
+    instance = ReplacementInstance(flows=tuple(specs), powers=powers, timings=timings)
+    return InstanceBuild(instance=instance, flow_ids=tuple(flow_ids), uav_ids=uav_original)
 
 
-def flow_to_json(flow: FlowSpec) -> dict:
-    """One flow's entry in the abstract-instance JSON form."""
+def flow_to_json(fid: int, flow: FlowSpec) -> dict:
+    """Flow ``fid``'s entry in the abstract-instance JSON form."""
     entry = {
-        "id": flow.id,
+        "id": fid,
         "t_ms": flow.handover_time * 1000.0,
         "delta": sorted(flow.retired_set),
     }
@@ -388,7 +358,7 @@ def instance_to_json(instance: ReplacementInstance) -> dict:
     """Abstract-instance JSON form (times in milliseconds)."""
     return {
         "timings": timings_to_json(instance.timings),
-        "flows": [flow_to_json(flow) for flow in instance.flows],
+        "flows": [flow_to_json(fid, flow) for fid, flow in enumerate(instance.flows)],
         "uavs": [{"id": j, "p_watts": power} for j, power in enumerate(instance.powers)],
     }
 
@@ -425,7 +395,7 @@ def instance_from_json(data: dict) -> ReplacementInstance:
                 t = json_scalar(entry["t_ms"], float, f"{where} t_ms") / 1000.0
             elif counts is None:
                 raise ValueError(f"flow {fid}: needs 't_ms' or 'rule_counts'")
-        flows.append(FlowSpec(id=fid, handover_time=t, retired_set=delta_set, rule_counts=counts))
+        flows.append((fid, FlowSpec(t, delta_set, counts)))
 
     m = len(raw_uavs)
     powers: list[float | None] = [None] * m
@@ -441,8 +411,11 @@ def instance_from_json(data: dict) -> ReplacementInstance:
         powers[uid] = json_scalar(entry["p_watts"], float, f"{where} p_watts")
 
     # flows may appear in any order in the file; ids must still be dense
-    flows.sort(key=lambda f: f.id)
+    flows.sort(key=lambda item: item[0])
+    for i, (fid, _) in enumerate(flows):
+        if fid != i:
+            raise ValueError(f"flow ids must be dense 0..{len(flows) - 1}, found {fid} at index {i}")
     try:
-        return ReplacementInstance(flows=tuple(flows), powers=tuple(powers), timings=timings)
+        return ReplacementInstance(flows=tuple(flow for _, flow in flows), powers=tuple(powers), timings=timings)
     except InvalidInstance as exc:
         raise ValueError(str(exc)) from exc

@@ -101,7 +101,7 @@ def dependency_from_instance(instance: ReplacementInstance) -> DependencyRelatio
     """Every flow must precede each retiring UAV it crosses."""
     n = instance.n
     pairs = frozenset(
-        (flow.id + 1, n + 1 + j) for flow in instance.flows for j in flow.retired_set
+        (i + 1, n + 1 + j) for i, flow in enumerate(instance.flows) for j in flow.retired_set
     )
     return DependencyRelation(n=n, m=instance.m, pairs=pairs)
 

@@ -62,9 +62,9 @@ def feasible_sequences(instance):
     flow-before-its-UAV dependencies (the independent oracle for the ILP)."""
     n, m = instance.n, instance.m
     required = []
-    for flow in instance.flows:
+    for i, flow in enumerate(instance.flows):
         for j in flow.retired_set:
-            required.append((flow.id + 1, n + 1 + j))
+            required.append((i + 1, n + 1 + j))
     for seq in permutations(range(1, n + m + 1)):
         pos = {k: p for p, k in enumerate(seq)}
         if all(pos[a] < pos[b] for a, b in required):

@@ -149,9 +149,9 @@ class TestBuildInstance:
             routes.append((fid, tuple([ends[0], *middle, ends[1]])))
         build = build_instance(routes, [(u, 10.0 * (u + 1)) for u in sorted(retired)])
         inst = build.instance
-        for flow in inst.flows:
+        for i, flow in enumerate(inst.flows):
             for j in flow.retired_set:
-                assert flow.id in inst.uavs[j].flow_set
+                assert i in inst.uavs[j].flow_set
         for uav in inst.uavs:
             for i in uav.flow_set:
                 assert uav.id in inst.flows[i].retired_set
@@ -209,14 +209,26 @@ class TestRouteCache:
         with pytest.raises(ValueError, match="duplicate flow id"):
             build_instance([(0, (5, 1, 6)), (0, (5, 1, 6))], [(1, 10.0)], cache=cache)
 
+    def test_a_retiring_set_mutated_in_place_is_compared_again(self):
+        uavs = [(1, 10.0)]
+        cache = {}
+        build_instance([(0, (5, 1, 6))], uavs, cache=cache)
+        uavs[0] = (1, 99.0)
+        with pytest.raises(ValueError, match="another retiring set or other timings"):
+            build_instance([(0, (5, 1, 6))], uavs, cache=cache)
+
+    def test_a_repeated_route_shares_one_flow_spec(self):
+        uavs = [(1, 10.0), (2, 20.0)]
+        cache = {}
+        first = build_instance([(0, (5, 1, 6)), (1, (7, 2, 1, 8))], uavs, cache=cache).instance
+        second = build_instance([(4, (7, 2, 1, 8)), (9, (5, 6)), (3, [5, 1, 6])], uavs, cache=cache).instance
+        assert second.flows[0] is first.flows[1]
+        assert second.flows[1] is first.flows[0]
+        assert cache[(5, 1, 6)] is first.flows[0]
+        assert cache[(5, 6)] is None
+
 
 class TestInstanceInvariants:
-    def test_ids_must_be_dense(self):
-        with pytest.raises(InvalidInstance):
-            instance_from_parts((0.02,), ({0},), (10.0,)).__class__(
-                flows=(reference_instance().flows[1],), powers=reference_instance().powers[:1]
-            )
-
     def test_empty_delta_rejected(self):
         with pytest.raises(InvalidInstance):
             instance_from_parts((0.02,), (set(),), (10.0,))
@@ -380,17 +392,26 @@ class TestInstanceJson:
             instance_from_json({"flows": [flow], "uavs": [uav]})
 
     @pytest.mark.parametrize(
-        "flows,uavs",
+        "flows,uavs,message",
         [
-            ([{"id": 0, "t_ms": 10, "delta": [0]}], [{"id": 0, "p_watts": 1.0}, {"id": 0, "p_watts": 2.0}]),
-            ([{"id": 0, "t_ms": 10, "delta": [0]}], [{"id": 0, "p_watts": 1.0}, {"id": 2, "p_watts": 2.0}]),
-            ([{"id": 0, "t_ms": 10, "delta": [0]}, {"id": 0, "t_ms": 20, "delta": [0]}], [{"id": 0, "p_watts": 1.0}]),
-            ([{"id": 0, "t_ms": 10, "delta": [0, 1]}], [{"id": 0, "p_watts": 1.0}]),
+            ([{"id": 0, "t_ms": 10, "delta": [0]}], [{"id": 0, "p_watts": 1.0}, {"id": 0, "p_watts": 2.0}], "duplicate uav id"),
+            ([{"id": 0, "t_ms": 10, "delta": [0]}], [{"id": 0, "p_watts": 1.0}, {"id": 2, "p_watts": 2.0}], "out of range"),
+            (
+                [{"id": 0, "t_ms": 10, "delta": [0]}, {"id": 0, "t_ms": 20, "delta": [0]}],
+                [{"id": 0, "p_watts": 1.0}],
+                r"flow ids must be dense 0\.\.1, found 0 at index 1",
+            ),
+            (
+                [{"id": 2, "t_ms": 10, "delta": [0]}, {"id": 0, "t_ms": 20, "delta": [0]}],
+                [{"id": 0, "p_watts": 1.0}],
+                r"flow ids must be dense 0\.\.1, found 2 at index 1",
+            ),
+            ([{"id": 0, "t_ms": 10, "delta": [0, 1]}], [{"id": 0, "p_watts": 1.0}], "unknown UAV ids"),
         ],
-        ids=["duplicate-uav", "uav-gap", "duplicate-flow", "delta-beyond-m"],
+        ids=["duplicate-uav", "uav-gap", "duplicate-flow", "flow-gap", "delta-beyond-m"],
     )
-    def test_ids_must_be_unique_dense_and_known(self, flows, uavs):
-        with pytest.raises(ValueError):
+    def test_ids_must_be_unique_dense_and_known(self, flows, uavs, message):
+        with pytest.raises(ValueError, match=message):
             instance_from_json({"flows": flows, "uavs": uavs})
 
     def test_mistyped_timing_raises_value_error(self):
