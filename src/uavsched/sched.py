@@ -86,6 +86,87 @@ def random_schedule(instance: ReplacementInstance, seed: int) -> SolverResult:
     return _result(instance, order, "random", wall)
 
 
+GENERAL = -1  # the ``required`` slot of a flow whose gain rule is a list of entries
+
+
+def _gain_rules(instance: ReplacementInstance) -> list[tuple]:
+    """One gain rule per flow f: the hover power its handover switches off.
+
+    A UAV whose pin set contains f finishes with f once its other flows are
+    all in the handed-over set ``state``.  Flow f's rule is ``(1 << f,
+    required, gain)`` of one of three kinds, each giving the very float the
+    entry-by-entry sum from 0.0 in ascending UAV id gives:
+
+    - constant: no other flow pins any of f's UAVs; ``required`` is 0 and
+      ``gain`` their powers summed once;
+    - single: f pins exactly one UAV, which other flows pin too; ``gain``
+      counts when ``state & required == required`` and is 0.0 otherwise;
+    - general: ``required`` is GENERAL and ``gain`` the (power, required)
+      entries, summed over the UAVs that complete.
+    """
+    powers = instance.powers
+    flow_masks = [0] * instance.m
+    for j, members in enumerate(instance.flow_sets):
+        mask = 0
+        for i in members:
+            mask |= 1 << i
+        flow_masks[j] = mask
+    rules = []
+    for f, flow in enumerate(instance.flows):
+        bit = 1 << f
+        entries = tuple((powers[j], flow_masks[j] & ~bit) for j in sorted(flow.retired_set))
+        if not any(required for _, required in entries):
+            gain = 0.0
+            for power, _ in entries:
+                gain += power
+            rules.append((bit, 0, gain))
+        elif len(entries) == 1:
+            power, required = entries[0]
+            rules.append((bit, required, 0.0 + power))
+        else:
+            rules.append((bit, GENERAL, entries))
+    return rules
+
+
+def _free_flows(rules: list[tuple], low_bits: int) -> tuple[list, list]:
+    """Free-flow tables for the low ``low_bits`` state bits and for the rest.
+
+    Entry ``lo`` of the first lists the rules of the low flows whose bit is
+    clear in ``lo``, entry ``hi`` of the second those of the high flows
+    clear in ``hi << low_bits``; each entry splits them into
+    (constant and single rules, general rules).
+    """
+    tables = []
+    for part, shift in ((rules[:low_bits], 0), (rules[low_bits:], low_bits)):
+        table = []
+        for half in range(1 << len(part)):
+            free = [rule for rule in part if not (half << shift) & rule[0]]
+            table.append(
+                (tuple(r for r in free if r[1] != GENERAL), tuple(r for r in free if r[1] == GENERAL))
+            )
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def _candidate(rule: tuple, state: int, elapsed: list[float], g: list[float]) -> float:
+    """Energy still to come if the rule's flow is handed over next from ``state``.
+
+    This is the DP's step, inlined in its loop; where nothing completes it
+    is g of the successor, which ``elapsed * 0.0 + g`` equals exactly.
+    """
+    bit, required, gain = rule
+    if required == GENERAL:
+        total = 0.0
+        for power, need in gain:
+            if state & need == need:
+                total += power
+        gain = total
+    elif state & required != required:
+        gain = 0.0
+    succ = state | bit
+    return elapsed[succ] * gain + g[succ] if gain else g[succ]
+
+
 def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_DEFAULT) -> SolverResult:
     """Globally optimal schedule via dynamic programming over flow subsets.
 
@@ -94,71 +175,78 @@ def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_
     of the UAVs whose last flow is f.  Among co-optimal schedules the
     lexicographically greatest is returned, deliberately opposite to the
     brute-force tie rule so that equivalence checks cannot pass by tie luck.
+
+    Each flow's gain is one of three kinds worked out once (``_gain_rules``:
+    constant, single UAV, general), and a step that completes no UAV costs
+    g of the successor alone.  States are visited high bits outside, low
+    bits inside, and each takes its free flows from two tables of 2^(n/2)
+    entries (``_free_flows``), so a flow already handed over is never
+    looked at.  Every g is the float the plain loop over all flows with an
+    entry-by-entry gain gives: the same expressions on the same operands,
+    and a min over non-NaN floats does not depend on the visiting order.
+    The walk-back reads the same rules.
     """
     n = instance.n
     if n > max_flows:
         raise InstanceTooLarge(f"exact solver capped at {max_flows} flows, instance has {n}")
     start = time.perf_counter()
     times = instance.times
-    powers = instance.powers
-
-    # completing[f]: (power, mask of the other flows of that UAV) for each
-    # UAV whose pin set contains f; the UAV finishes when those flows and f
-    # are all in the handed-over set.
-    flow_masks = [0] * instance.m
-    for j, members in enumerate(instance.flow_sets):
-        mask = 0
-        for i in members:
-            mask |= 1 << i
-        flow_masks[j] = mask
-    completing: list[tuple[tuple[float, int], ...]] = [() for _ in range(n)]
-    for f in range(n):
-        entries = []
-        for j in sorted(instance.flows[f].retired_set):
-            entries.append((powers[j], flow_masks[j] & ~(1 << f)))
-        completing[f] = tuple(entries)
+    rules = _gain_rules(instance)
 
     size = 1 << n
+    full = size - 1
+    # elapsed[S] = elapsed[S minus its lowest flow] + that flow's time, filled
+    # one lowest flow f at a time from the highest down (stride 2^(f+1))
     elapsed = [0.0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        elapsed[mask] = elapsed[mask ^ low] + times[low.bit_length() - 1]
+    for f in range(n - 1, -1, -1):
+        t = times[f]
+        elapsed[1 << f::2 << f] = [e + t for e in elapsed[::2 << f]]
 
+    low_bits = n // 2
+    free_lo, free_hi = _free_flows(rules, low_bits)
+    lo_top = (1 << low_bits) - 1
+    hi_top = full >> low_bits
     inf = float("inf")
     g = [0.0] * size
-    for state in range(size - 2, -1, -1):
-        best = inf
-        for f in range(n):
-            if state >> f & 1:
-                continue
-            succ = state | (1 << f)
-            gain = 0.0
-            for power, required in completing[f]:
+    for hi in range(hi_top, -1, -1):
+        fixed_hi, general_hi = free_hi[hi]
+        base = hi << low_bits
+        # the full set has nothing left to hand over: g stays 0.0
+        for lo in range(lo_top - 1 if hi == hi_top else lo_top, -1, -1):
+            state = base | lo
+            fixed_lo, general_lo = free_lo[lo]
+            best = inf
+            for bit, required, gain in fixed_lo + fixed_hi:
+                succ = state | bit
                 if state & required == required:
-                    gain += power
-            cand = elapsed[succ] * gain + g[succ]
-            if cand < best:
-                best = cand
-        g[state] = best
+                    cand = elapsed[succ] * gain + g[succ]
+                else:
+                    cand = g[succ]
+                if cand < best:
+                    best = cand
+            for bit, _, entries in general_lo + general_hi:
+                succ = state | bit
+                gain = 0.0
+                for power, required in entries:
+                    if state & required == required:
+                        gain += power
+                cand = elapsed[succ] * gain + g[succ] if gain else g[succ]
+                if cand < best:
+                    best = cand
+            g[state] = best
 
     order = []
     state = 0
-    while state != size - 1:
+    while state != full:
         target = g[state]
-        chosen = -1
         for f in range(n - 1, -1, -1):
-            if state >> f & 1:
-                continue
-            succ = state | (1 << f)
-            gain = 0.0
-            for power, required in completing[f]:
-                if state & required == required:
-                    gain += power
-            if elapsed[succ] * gain + g[succ] == target:
-                chosen = f
+            rule = rules[f]
+            if not state & rule[0] and _candidate(rule, state, elapsed, g) == target:
                 break
-        order.append(chosen)
-        state |= 1 << chosen
+        else:
+            raise RuntimeError(f"exact_dp walk-back: no free flow attains g at state {state:#x}")
+        order.append(f)
+        state |= rule[0]
     wall = time.perf_counter() - start
     return _result(instance, order, "exact_dp", wall)
 

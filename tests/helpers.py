@@ -7,6 +7,8 @@ from uavsched.model import (
     DEFAULT_TIMINGS,
     ReplacementInstance,
     RuleTimings,
+    Schedule,
+    compute_energy,
     instance_from_parts,
 )
 
@@ -69,3 +71,78 @@ def feasible_sequences(instance):
         pos = {k: p for p, k in enumerate(seq)}
         if all(pos[a] < pos[b] for a, b in required):
             yield seq
+
+
+def exact_dp_reference(instance):
+    """The flow-subset DP as a plain loop over every flow of every state, with
+    each gain summed entry by entry: the oracle for ``exact_schedule_dp``.
+    Returns (order, energy), the tie rule included."""
+    n = instance.n
+    times = instance.times
+    powers = instance.powers
+
+    # completing[f]: (power, mask of the other flows of that UAV) for each
+    # UAV whose pin set contains f; the UAV finishes when those flows and f
+    # are all in the handed-over set.
+    flow_masks = [0] * instance.m
+    for j, members in enumerate(instance.flow_sets):
+        mask = 0
+        for i in members:
+            mask |= 1 << i
+        flow_masks[j] = mask
+    completing: list[tuple[tuple[float, int], ...]] = [() for _ in range(n)]
+    for f in range(n):
+        entries = []
+        for j in sorted(instance.flows[f].retired_set):
+            entries.append((powers[j], flow_masks[j] & ~(1 << f)))
+        completing[f] = tuple(entries)
+
+    size = 1 << n
+    elapsed = [0.0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        elapsed[mask] = elapsed[mask ^ low] + times[low.bit_length() - 1]
+
+    inf = float("inf")
+    g = [0.0] * size
+    for state in range(size - 2, -1, -1):
+        best = inf
+        for f in range(n):
+            if state >> f & 1:
+                continue
+            succ = state | (1 << f)
+            gain = 0.0
+            for power, required in completing[f]:
+                if state & required == required:
+                    gain += power
+            cand = elapsed[succ] * gain + g[succ]
+            if cand < best:
+                best = cand
+        g[state] = best
+
+    order = []
+    state = 0
+    while state != size - 1:
+        target = g[state]
+        chosen = -1
+        for f in range(n - 1, -1, -1):
+            if state >> f & 1:
+                continue
+            succ = state | (1 << f)
+            gain = 0.0
+            for power, required in completing[f]:
+                if state & required == required:
+                    gain += power
+            if elapsed[succ] * gain + g[succ] == target:
+                chosen = f
+                break
+        order.append(chosen)
+        state |= 1 << chosen
+    order = tuple(order)
+    return order, compute_energy(instance, Schedule(order=order)).total_energy
+
+
+def no_free_flow_tables(rules, low_bits):
+    """Stand-in for ``sched._free_flows`` whose tables list no flow at all: g
+    stays infinite below the full set, so the walk-back finds no step."""
+    return [((), ())] * 2**low_bits, [((), ())] * 2 ** (len(rules) - low_bits)

@@ -22,7 +22,7 @@ from uavsched.model import DEFAULT_TIMINGS, Schedule, compute_energy, instance_f
 from uavsched.netgen import MAX_FLOWS, MAX_UAVS, HoverParams, NetworkParams, RadioParams
 from uavsched.sched import METHODS, exact_schedule_dp
 
-from helpers import dyadic_time, reference_instance
+from helpers import dyadic_time, no_free_flow_tables, reference_instance
 
 
 def write_json(path, payload):
@@ -189,6 +189,12 @@ class TestSchedule:
         }
         inst = write_json(tmp_path / "big.json", doc)
         assert main(["schedule", "--instance", inst, "--method", "bruteforce", "--out", str(tmp_path / "o.json")]) == 4
+
+    def test_an_exact_dp_walk_back_fault_is_not_reported_as_bad_input(self, tmp_path, reference_file, monkeypatch):
+        # an internal fault, which must not end as exit 2 ("bad input")
+        monkeypatch.setattr(uavsched.sched, "_free_flows", no_free_flow_tables)
+        with pytest.raises(RuntimeError, match="walk-back"):
+            main(["schedule", "--instance", reference_file, "--method", "exact_dp", "--out", str(tmp_path / "o.json")])
 
     def test_malformed_instance_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -376,6 +376,24 @@ def sweep_fingerprint(config: ExperimentConfig) -> tuple[str, str]:
     return hashlib.sha256(masked.encode("ascii")).hexdigest(), hashlib.sha256(digests.encode("ascii")).hexdigest()
 
 
+def test_criterion_5_sweep_matches_the_values_recorded_before_the_free_flow_kernel():
+    # the acceptance suite's criterion-5 sweep: exact_dp on 100 instances of
+    # up to 11 flows; recorded on the plain loop over every flow of every state
+    config = ExperimentConfig(
+        network=NetworkParams(area_side=260.0),
+        n_flows_list=(14,),
+        m_list=(5,),
+        iterations=100,
+        methods=("heuristic", "exact_dp"),
+        exact_cap=14,
+        master_seed=31,
+    )
+    assert sweep_fingerprint(config) == (
+        "8eb165e218b2fcf4ead93a28d76e0ec5030ecbbf7246a92fc8832c1763b4b7c4",
+        "a60ab7f684c2dc75b088226a4c325aed5f1d2d08aa847718121c6e4bb4b3c4c2",
+    )
+
+
 class TestCellMemo:
     @pytest.mark.parametrize("resample", [False, True], ids=["fixed-retiring-set", "resampled-retiring-sets"])
     def test_fragment_text_equals_the_plain_json_on_every_iteration(self, monkeypatch, resample):

@@ -4,13 +4,16 @@ import random
 import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uavsched import sched
 from uavsched.errors import InstanceTooLarge
-from uavsched.model import compute_energy, instance_from_parts
+from uavsched.model import build_instance, compute_energy, instance_from_parts
+from uavsched.netgen import NetworkParams, generate_network, sample_scenario
 from uavsched.sched import (
     EXACT_CAP_DEFAULT,
+    GENERAL,
     brute_force_schedule,
     exact_schedule,
     exact_schedule_dp,
@@ -19,7 +22,7 @@ from uavsched.sched import (
     score_table,
 )
 
-from helpers import dyadic_time, reference_instance, random_instance
+from helpers import dyadic_time, exact_dp_reference, no_free_flow_tables, reference_instance, random_instance
 
 
 class TestScoreTable:
@@ -141,6 +144,94 @@ class TestExactDp:
 def with_some_powers_zeroed(rng: random.Random, inst):
     powers = tuple(0.0 if rng.random() < 0.4 else p for p in inst.powers)
     return instance_from_parts(inst.times, tuple(f.retired_set for f in inst.flows), powers)
+
+
+def crossing_instance(rng: random.Random, n: int, m: int, dyadic: bool):
+    """n flows on m UAVs, each flow crossing 1 to 3 of them; powers with a fractional part."""
+    times = tuple(dyadic_time(rng) if dyadic else rng.uniform(0.005, 0.060) for _ in range(n))
+    deltas = tuple(frozenset(rng.sample(range(m), rng.randint(1, min(3, m)))) for _ in range(n))
+    powers = tuple(rng.uniform(20.0, 310.0) for _ in range(m))
+    return instance_from_parts(times, deltas, powers)
+
+
+def gain_kinds(inst):
+    return {"constant" if required == 0 else "general" if required == GENERAL else "single"
+            for _, required, _ in sched._gain_rules(inst)}
+
+
+class TestExactDpKernel:
+    """exact_schedule_dp against the plain loop over every flow of every state (helpers.exact_dp_reference)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(0, 12),
+        m=st.integers(1, 9),
+        dyadic=st.booleans(),
+        zero_powers=st.booleans(),
+    )
+    @example(seed=0, n=0, m=1, dyadic=False, zero_powers=False)
+    @example(seed=1, n=1, m=3, dyadic=False, zero_powers=False)
+    @example(seed=2, n=11, m=9, dyadic=False, zero_powers=True)
+    @example(seed=3, n=12, m=5, dyadic=False, zero_powers=False)
+    def test_order_and_energy_equal_the_plain_loop(self, seed, n, m, dyadic, zero_powers):
+        rng = random.Random(seed)
+        inst = crossing_instance(rng, n, m, dyadic)
+        if zero_powers:
+            inst = with_some_powers_zeroed(rng, inst)
+        result = exact_schedule_dp(inst)
+        assert (result.schedule.order, result.energy) == exact_dp_reference(inst)
+
+    def test_every_gain_kind_against_the_plain_loop(self):
+        # constant: flows 0 and 8 pin UAVs no other flow pins; single: flows
+        # 1, 2, 4, 5 and 7 each cross one shared UAV; general: flow 3 crosses
+        # UAVs 2, 3 and 4, and flow 6 UAV 5 (shared) and 6 (its own).  Odd
+        # n, so the high half of the state has one bit more than the low
+        deltas = ({0, 1}, {2}, {2}, {2, 3, 4}, {3}, {4}, {5, 6}, {5}, {7})
+        for seed in range(20):
+            rng = random.Random(seed)
+            times = tuple(rng.uniform(0.005, 0.060) for _ in deltas)
+            powers = tuple(rng.uniform(20.0, 310.0) for _ in range(8))
+            inst = instance_from_parts(times, deltas, powers)
+            assert gain_kinds(inst) == {"constant", "single", "general"}
+            result = exact_schedule_dp(inst)
+            assert (result.schedule.order, result.energy) == exact_dp_reference(inst)
+
+    def test_constant_gain_is_summed_in_ascending_uav_order(self):
+        # flow 0 alone pins UAVs 0..2: (0.1 + 0.2) + 0.3 = 0.6000000000000001 > 0.6,
+        # flow 1's gain, so flow 0 goes first; a sum in another order would
+        # give 0.6, a tie, and the tie rule would put flow 1 first
+        inst = instance_from_parts((0.03125, 0.03125), ({0, 1, 2}, {3}), (0.1, 0.2, 0.3, 0.6))
+        assert exact_schedule_dp(inst).schedule.order == (0, 1) == exact_dp_reference(inst)[0]
+
+    def test_a_walk_back_without_a_match_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(sched, "_free_flows", no_free_flow_tables)
+        inst = instance_from_parts((0.02,), ({0},), (10.0,))
+        with pytest.raises(RuntimeError, match="state 0x0"):
+            exact_schedule_dp(inst)
+
+
+def netgen_instance(flows: int, seed: int):
+    net = generate_network(NetworkParams(), 1)
+    routes, retired = sample_scenario(net, flows, 6, seed)
+    return build_instance(routes, [(u, net.hover_powers[u]) for u in sorted(retired)]).instance
+
+
+class TestExactDpPinned:
+    @pytest.mark.parametrize(
+        "seed,order",
+        [
+            (18, (7, 10, 4, 13, 12, 11, 9, 8, 6, 5, 3, 2, 1, 0)),
+            (99, (13, 8, 3, 11, 0, 4, 2, 9, 7, 5, 1, 14, 12, 10, 6)),
+            (8, (15, 4, 14, 12, 10, 9, 8, 13, 11, 7, 2, 0, 6, 5, 3, 1)),
+        ],
+        ids=["n14", "n15", "n16"],
+    )
+    def test_netgen_orders_recorded_on_the_plain_loop(self, seed, order):
+        # 40 sampled flows over 6 retiring UAVs of the default network (seed 1)
+        inst = netgen_instance(40, seed)
+        assert (inst.n, inst.m) == (len(order), 6)
+        assert exact_schedule_dp(inst).schedule.order == order
 
 
 class TestExactSchedule:
