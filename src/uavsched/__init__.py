@@ -1,21 +1,6 @@
 """Energy-minimal handover scheduling for replacing relays in SDN UAV networks."""
 
-from .errors import (
-    ConfigInvalid,
-    DimensionMismatch,
-    EmptyInstance,
-    EndpointRetired,
-    InstanceTooLarge,
-    InvalidInstance,
-    InvalidOrder,
-    InvalidSchedule,
-    IoFailure,
-    NonPositiveDistance,
-    SamplingExhausted,
-    TooFewSamples,
-    Unreachable,
-    UavschedError,
-)
+from .errors import InstanceTooLarge, IoFailure, Unreachable, UavschedError
 from .model import (
     DEFAULT_TIMINGS,
     EnergyReport,

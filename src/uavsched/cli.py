@@ -4,8 +4,8 @@ All randomness sits behind explicit --seed flags; rerunning a command with
 the same flags reproduces the same files (measured wall times excepted).
 Human-readable messages go to stderr, machine output to files only.
 
-Exit codes: 0 success, 2 invalid input or parameters, 3 I/O failure,
-4 solver size cap exceeded, 130 interrupted.
+Exit codes: 0 success, 2 invalid input or parameters (ValueError), 3 I/O
+failure, 4 size cap exceeded (a solver's or the LP export's), 130 interrupted.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import experiment as exp
 from . import model, netgen, ordering, sched
-from .errors import InstanceTooLarge, IoFailure, UavschedError, write_text
+from .errors import InstanceTooLarge, IoFailure, write_text
 
 
 def _fail(message: str, code: int) -> int:
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
         return _fail(str(exc), 4)
     except IoFailure as exc:
         return _fail(str(exc), 3)
-    except (UavschedError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), 2)
 
 

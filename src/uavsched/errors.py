@@ -1,5 +1,10 @@
-"""Exception types raised across the package, and the file and JSON
-boundary helpers that raise them."""
+"""The package's exception types, and the file and JSON boundary helpers.
+
+A bad value anywhere, in a file, a parameter or a call, is a ValueError
+(CLI exit 2).  The classes here are only the errors that code acts on by
+kind: IoFailure (exit 3), InstanceTooLarge (exit 4; an experiment skips the
+iteration) and Unreachable (route sampling redraws the endpoint pair).
+"""
 
 from contextlib import contextmanager, suppress
 from dataclasses import fields, is_dataclass
@@ -11,59 +16,19 @@ from typing import get_args, get_origin
 
 
 class UavschedError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class InvalidInstance(UavschedError):
-    """A replacement instance violates a structural invariant."""
-
-
-class EmptyInstance(UavschedError):
-    """Nothing to schedule: no flows and no retiring UAVs."""
-
-
-class EndpointRetired(UavschedError):
-    """A flow starts or ends at a retiring UAV (unsupported handover topology)."""
-
-
-class InvalidSchedule(UavschedError):
-    """A schedule is not a permutation of the instance's flow identifiers."""
-
-
-class NonPositiveDistance(UavschedError):
-    """Radio computations need a strictly positive distance."""
-
-
-class Unreachable(UavschedError):
-    """No path exists between the requested endpoints."""
-
-
-class SamplingExhausted(UavschedError):
-    """Scenario sampling gave up (network too sparse for the request)."""
-
-
-class InstanceTooLarge(UavschedError):
-    """Instance exceeds the size cap of an exhaustive solver."""
-
-
-class DimensionMismatch(UavschedError):
-    """Objects built for different instance sizes were combined."""
-
-
-class InvalidOrder(UavschedError):
-    """A relation matrix is not a strict total order."""
+    """Base class of the package errors that callers act on by kind."""
 
 
 class IoFailure(UavschedError):
-    """Writing or reading an artifact file failed."""
+    """Writing or reading an artifact file failed (CLI exit 3)."""
 
 
-class TooFewSamples(UavschedError):
-    """Sample statistics need at least two observations."""
+class InstanceTooLarge(UavschedError):
+    """An instance exceeds a solver's or the LP export's size cap (CLI exit 4)."""
 
 
-class ConfigInvalid(UavschedError):
-    """An experiment configuration is malformed."""
+class Unreachable(UavschedError):
+    """No path joins the requested endpoints; route sampling redraws the pair."""
 
 
 @contextmanager

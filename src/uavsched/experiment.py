@@ -17,7 +17,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import ConfigInvalid, InstanceTooLarge, IoFailure, TooFewSamples, UavschedError, dataclass_from_json, write_text
+from .errors import InstanceTooLarge, IoFailure, dataclass_from_json, write_text
 from .model import (
     DEFAULT_TIMINGS,
     RuleTimings,
@@ -57,27 +57,27 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not 2 <= self.iterations <= MAX_ITERATIONS:
-            raise ConfigInvalid(f"iterations must be in [2, {MAX_ITERATIONS}], got {self.iterations}")
+            raise ValueError(f"iterations must be in [2, {MAX_ITERATIONS}], got {self.iterations}")
         if not self.methods:
-            raise ConfigInvalid("methods must not be empty")
+            raise ValueError("methods must not be empty")
         for method in self.methods:
             if method not in METHODS:
-                raise ConfigInvalid(f"unknown method {method!r}; choose from {tuple(METHODS)}")
+                raise ValueError(f"unknown method {method!r}; choose from {tuple(METHODS)}")
         if len(set(self.methods)) != len(self.methods):
-            raise ConfigInvalid("methods must not repeat")
+            raise ValueError("methods must not repeat")
         if not self.n_flows_list or not self.m_list:
-            raise ConfigInvalid("n_flows_list and m_list must not be empty")
+            raise ValueError("n_flows_list and m_list must not be empty")
         if len(set(self.n_flows_list)) != len(self.n_flows_list) or len(set(self.m_list)) != len(self.m_list):
-            raise ConfigInvalid("n_flows_list and m_list must not repeat: a cell would be run and written twice")
+            raise ValueError("n_flows_list and m_list must not repeat: a cell would be run and written twice")
         for m in self.m_list:
             if not 0 <= m < self.network.num_uavs:
-                raise ConfigInvalid(f"m={m} must be in [0, num_uavs)")
+                raise ValueError(f"m={m} must be in [0, num_uavs)")
         for n_f in self.n_flows_list:
             if not 1 <= n_f <= MAX_FLOWS:
-                raise ConfigInvalid(f"n_flows={n_f} must be in [1, {MAX_FLOWS}]")
+                raise ValueError(f"n_flows={n_f} must be in [1, {MAX_FLOWS}]")
         if not 0 <= self.exact_cap <= EXACT_CAP_DEFAULT:
             # exact_dp keeps two tables of 2^n entries per instance
-            raise ConfigInvalid(f"exact_cap must be in [0, {EXACT_CAP_DEFAULT}], got {self.exact_cap}")
+            raise ValueError(f"exact_cap must be in [0, {EXACT_CAP_DEFAULT}], got {self.exact_cap}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def summarize(samples) -> tuple[float, float, float, float]:
     samples = list(samples)
     k = len(samples)
     if k < 2:
-        raise TooFewSamples(f"need at least 2 samples, got {k}")
+        raise ValueError(f"need at least 2 samples, got {k}")
     if not all(map(math.isfinite, samples)):
         raise ValueError(f"samples must be finite, got {next(e for e in samples if not math.isfinite(e))!r}")
     mean = sum(samples) / k
@@ -180,11 +180,14 @@ class _CellMemo:
         return '{"flows": [' + ", ".join(parts) + "], " + self.tail
 
 
+def _memo(config: ExperimentConfig, net, n_f: int, m: int, *k: int) -> _CellMemo:
+    """The memo of the retiring set drawn under seed key ("retired", n_f, m, *k); k is given when resampled."""
+    rng = random.Random(_derive_seed(config.master_seed, "retired", n_f, m, *k))
+    return _CellMemo(net, sample_retired_set(net, m, rng))
+
+
 def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, k: int, memo: _CellMemo):
-    """One iteration's instance digest and method outcomes; a resampled retiring set gets a fresh memo."""
-    if config.resample_retired_per_iteration:
-        rng = random.Random(_derive_seed(config.master_seed, "retired", n_f, m, k))
-        memo = _CellMemo(net, sample_retired_set(net, m, rng))
+    """One iteration's instance digest and method outcomes under the memo's retiring set."""
     flow_rng = random.Random(_derive_seed(config.master_seed, "flows", n_f, m, k))
     kept = sample_flow_routes(net, memo.retired, n_f, flow_rng, table=memo.table)
     flows = [(fid, entry[0]) for fid, entry in kept] if memo.table else kept
@@ -212,11 +215,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     digests: dict[tuple[int, int], tuple[str, ...]] = {}
     for n_f in config.n_flows_list:
         for m in config.m_list:
-            retired = sample_retired_set(
-                net, m, random.Random(_derive_seed(config.master_seed, "retired", n_f, m))
-            )
-            memo = _CellMemo(net, retired)
-            iterations = [_run_iteration(config, net, n_f, m, k, memo) for k in range(config.iterations)]
+            if config.resample_retired_per_iteration:  # drawn lazily: one memo lives at a time
+                memos = (_memo(config, net, n_f, m, k) for k in range(config.iterations))
+            else:
+                memos = [_memo(config, net, n_f, m)] * config.iterations
+            iterations = [_run_iteration(config, net, n_f, m, k, memo) for k, memo in enumerate(memos)]
             digests[(n_f, m)] = tuple(digest for digest, _ in iterations)
             for method in config.methods:
                 ran = [outcomes[method] for _, outcomes in iterations if outcomes[method] is not None]
@@ -436,11 +439,11 @@ def emit_svg(result: ExperimentResult, metric: str, destination) -> str:
 
 
 def config_from_json(data: dict) -> ExperimentConfig:
-    """Parse an experiment config; field names mirror ExperimentConfig, timings are in ms."""
-    try:
-        if not isinstance(data, dict):
-            raise ValueError("experiment config must be a JSON object")
-        timings = timings_from_json(data.get("timings", {}))
-        return dataclass_from_json(ExperimentConfig, data, "experiment config", timings=timings)
-    except (ValueError, UavschedError) as exc:
-        raise ConfigInvalid(str(exc)) from exc
+    """Parse an experiment config; field names mirror ExperimentConfig, timings are in ms.
+
+    Any malformed document, bad timings and field values included, is a ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("experiment config must be a JSON object")
+    timings = timings_from_json(data.get("timings", {}))
+    return dataclass_from_json(ExperimentConfig, data, "experiment config", timings=timings)

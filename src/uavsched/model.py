@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 import math
 
-from .errors import (
-    EmptyInstance,
-    EndpointRetired,
-    InvalidInstance,
-    InvalidSchedule,
-    json_scalar,
-    schema_errors,
-)
+from .errors import json_scalar, schema_errors
 
 
 @dataclass(frozen=True)
@@ -34,7 +27,7 @@ class RuleTimings:
         for name in ("tau_del", "tau_ins", "tau_mod"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise InvalidInstance(f"{name} must be a positive finite duration, got {value!r}")
+                raise ValueError(f"{name} must be a positive finite duration, got {value!r}")
 
     @classmethod
     def from_milliseconds(cls, tau_del_ms: float, tau_ins_ms: float, tau_mod_ms: float) -> "RuleTimings":
@@ -71,7 +64,7 @@ class RuleCounts:
         for name in ("r_del", "r_ins", "r_mod"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
-                raise InvalidInstance(f"{name} must be a non-negative integer, got {value!r}")
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +108,7 @@ def rule_counts_from_route(route, retired) -> RuleCounts:
         raise ValueError(f"route must contain at least two distinct nodes, got {nodes!r}")
     retired = set(retired)
     if nodes[0] in retired or nodes[-1] in retired:
-        raise EndpointRetired(f"route endpoints {nodes[0]!r}/{nodes[-1]!r} may not be retiring UAVs")
+        raise ValueError(f"route endpoints {nodes[0]!r}/{nodes[-1]!r} may not be retiring UAVs")
     hits = 0
     runs = 0
     previous_retired = False
@@ -146,24 +139,24 @@ class ReplacementInstance:
         m = len(self.powers)
         for j, power in enumerate(self.powers):
             if not (math.isfinite(power) and power >= 0):
-                raise InvalidInstance(f"UAV {j}: hover_power must be non-negative, got {power!r}")
+                raise ValueError(f"UAV {j}: hover_power must be non-negative, got {power!r}")
         timings = self.timings
         for i, flow in enumerate(self.flows):
             if not flow.retired_set:
-                raise InvalidInstance(f"flow {i} crosses no retiring UAV and does not belong in an instance")
+                raise ValueError(f"flow {i} crosses no retiring UAV and does not belong in an instance")
             for j in flow.retired_set:
                 if not (isinstance(j, int) and 0 <= j < m):
-                    raise InvalidInstance(f"flow {i} references unknown UAV ids {sorted(flow.retired_set)}")
+                    raise ValueError(f"flow {i} references unknown UAV ids {sorted(flow.retired_set)}")
             t = flow.handover_time
             if not (math.isfinite(t) and t > 0):
-                raise InvalidInstance(f"flow {i} needs a positive handover time, got {t!r}")
+                raise ValueError(f"flow {i} needs a positive handover time, got {t!r}")
             counts = flow.rule_counts
             if counts is not None:  # handover_time(counts, timings), in its operand order
                 expected = (
                     counts.r_del * timings.tau_del + counts.r_ins * timings.tau_ins + counts.r_mod * timings.tau_mod
                 )
                 if abs(t - expected) > 1e-9 * max(1.0, abs(expected)):
-                    raise InvalidInstance(
+                    raise ValueError(
                         f"flow {i}: handover_time {t} does not match "
                         f"its rule counts under the instance timings ({expected})"
                     )
@@ -221,11 +214,11 @@ class EnergyReport:
 
 
 def ensure_valid_schedule(instance: ReplacementInstance, schedule: Schedule) -> None:
-    """Raise InvalidSchedule unless the order is a permutation of the flow ids."""
+    """Raise ValueError unless the order is a permutation of the flow ids."""
     order = schedule.order
     n = instance.n
     if len(order) != n or set(order) != set(range(n)):
-        raise InvalidSchedule(f"schedule {order!r} is not a permutation of 0..{n - 1}")
+        raise ValueError(f"schedule {order!r} is not a permutation of 0..{n - 1}")
 
 
 def _energy(instance: ReplacementInstance, order) -> tuple[list[float], list[float], float]:
@@ -310,7 +303,7 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
     flows = list(flows)
     retired_uavs = sorted(retired_uavs, key=lambda item: item[0])
     if not flows and not retired_uavs:
-        raise EmptyInstance("no flows and no retiring UAVs given")
+        raise ValueError("no flows and no retiring UAVs given")
     uav_original = tuple(uid for uid, _ in retired_uavs)
     retired_ids = set(uav_original)
     if len(retired_ids) != len(uav_original):
@@ -364,7 +357,11 @@ def instance_to_json(instance: ReplacementInstance) -> dict:
 
 
 def instance_from_json(data: dict) -> ReplacementInstance:
-    """Parse the abstract-instance JSON form; ValueError on schema problems."""
+    """Parse the abstract-instance JSON form.
+
+    Any malformed document, bad timings, rule counts and instance invariants
+    included, is a ValueError.
+    """
     if not isinstance(data, dict):
         raise ValueError("instance JSON must be an object")
     timings = timings_from_json(data.get("timings", {}))
@@ -415,7 +412,4 @@ def instance_from_json(data: dict) -> ReplacementInstance:
     for i, (fid, _) in enumerate(flows):
         if fid != i:
             raise ValueError(f"flow ids must be dense 0..{len(flows) - 1}, found {fid} at index {i}")
-    try:
-        return ReplacementInstance(flows=tuple(flow for _, flow in flows), powers=tuple(powers), timings=timings)
-    except InvalidInstance as exc:
-        raise ValueError(str(exc)) from exc
+    return ReplacementInstance(flows=tuple(flow for _, flow in flows), powers=tuple(powers), timings=timings)

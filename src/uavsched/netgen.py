@@ -11,7 +11,7 @@ from functools import cached_property
 import math
 import random
 
-from .errors import NonPositiveDistance, SamplingExhausted, Unreachable, dataclass_from_json, json_scalar, schema_errors
+from .errors import Unreachable, dataclass_from_json, json_scalar, schema_errors
 
 # Input size limits, checked before anything is built: the link graph tests
 # every pair of UAVs, a sweep cell keeps a slot per ordered pair of them, and
@@ -106,7 +106,7 @@ class UavNetwork:
 def path_loss(distance: float, radio: RadioParams) -> float:
     """Free-space path loss in dB over a line-of-sight link of given length."""
     if not distance > 0:
-        raise NonPositiveDistance(f"distance must be positive, got {distance!r}")
+        raise ValueError(f"distance must be positive, got {distance!r}")
     return 20.0 * math.log10(4.0 * math.pi * radio.carrier_freq * distance / radio.light_speed)
 
 
@@ -288,7 +288,7 @@ def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attem
         candidates, slots = table.candidates, table.slots
     c = len(candidates)
     if c < 2:
-        raise SamplingExhausted("fewer than two UAVs remain in service")
+        raise ValueError("fewer than two UAVs remain in service")
     getrandbits = rng.getrandbits
     k = c.bit_length()
     # random.sample draws two from a pool list when it holds at most 21 items,
@@ -323,9 +323,7 @@ def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attem
             if entry is not False:  # False: no path, so the pair is redrawn
                 break
         else:
-            raise SamplingExhausted(
-                f"could not route flow {fid} after {max_attempts} attempts; network too sparse"
-            )
+            raise ValueError(f"could not route flow {fid} after {max_attempts} attempts; network too sparse")
         if entry:  # a route, or a table entry of a route that crosses the retiring set
             flows.append((fid, entry))
     return tuple(flows)

@@ -11,8 +11,12 @@ validates candidate orders, and converts between orders and schedules.
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import DimensionMismatch, EmptyInstance, InvalidOrder, write_text
+from .errors import InstanceTooLarge, write_text
 from .model import ReplacementInstance, Schedule, ensure_valid_schedule
+
+# Largest n+m the LP is built for: its text grows as about 50 (n+m)^3 bytes,
+# about 400 MB here, and rendering it takes about twice that in memory
+LP_SIZE_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -107,10 +111,15 @@ def dependency_from_instance(instance: ReplacementInstance) -> DependencyRelatio
 
 
 def build_ilp(instance: ReplacementInstance) -> IlpModel:
-    """Binary program: minimize sum T_i P_j x_ij over flow-before-UAV pairs."""
+    """Binary program: minimize sum T_i P_j x_ij over flow-before-UAV pairs.
+
+    Past LP_SIZE_CAP elements it raises InstanceTooLarge before anything is built.
+    """
     n, m = instance.n, instance.m
     if n + m < 2:
-        raise EmptyInstance(f"ordering model needs at least two elements, got n+m = {n + m}")
+        raise ValueError(f"ordering model needs at least two elements, got n+m = {n + m}")
+    if n + m > LP_SIZE_CAP:
+        raise InstanceTooLarge(f"LP export capped at n+m = {LP_SIZE_CAP}, instance has {n} flows and {m} UAVs")
     times = instance.times
     powers = instance.powers
     objective = tuple(
@@ -176,9 +185,7 @@ def export_lp(model: IlpModel, destination) -> str:
 def validate_total_order(x: TotalOrderMatrix, dependency: DependencyRelation) -> list[Violation]:
     """Check all four strict-total-order properties; report every violation."""
     if (x.n, x.m) != (dependency.n, dependency.m):
-        raise DimensionMismatch(
-            f"matrix is for n={x.n}, m={x.m} but dependency is for n={dependency.n}, m={dependency.m}"
-        )
+        raise ValueError(f"matrix is for n={x.n}, m={x.m} but dependency is for n={dependency.n}, m={dependency.m}")
     size = x.size
     rows = x.rows
     violations = []
@@ -215,10 +222,10 @@ def order_to_schedule(x: TotalOrderMatrix) -> tuple[Schedule, tuple[int, ...]]:
     size = x.size
     for i, (row, column) in enumerate(zip(x.rows, zip(*x.rows))):
         if row[i] or any(a + b != 1 for a, b in zip(row[i + 1 :], column[i + 1 :])):
-            raise InvalidOrder(f"index {i + 1} breaks irreflexivity or totality; not a strict total order")
+            raise ValueError(f"index {i + 1} breaks irreflexivity or totality; not a strict total order")
     succ = [sum(row) for row in x.rows]
     if sorted(succ) != list(range(size)):
-        raise InvalidOrder("successor counts are not a permutation; not a strict total order")
+        raise ValueError("successor counts are not a permutation; not a strict total order")
     sequence = sorted(range(1, size + 1), key=lambda k: -succ[k - 1])
     order = tuple(k - 1 for k in sequence if k <= x.n)
     positions = [0] * x.m
@@ -256,9 +263,7 @@ def schedule_to_canonical_order(instance: ReplacementInstance, schedule: Schedul
 def ilp_objective(model: IlpModel, x: TotalOrderMatrix) -> float:
     """Objective value of an assignment: sum of coefficients of set variables."""
     if (model.n, model.m) != (x.n, x.m):
-        raise DimensionMismatch(
-            f"model is for n={model.n}, m={model.m} but matrix is for n={x.n}, m={x.m}"
-        )
+        raise ValueError(f"model is for n={model.n}, m={model.m} but matrix is for n={x.n}, m={x.m}")
     total = 0.0
     for (i, j), coeff in model.objective:
         if x.rows[i - 1][j - 1]:

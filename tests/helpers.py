@@ -2,6 +2,7 @@
 
 from itertools import permutations
 import random
+import re
 
 from uavsched.model import (
     DEFAULT_TIMINGS,
@@ -11,6 +12,14 @@ from uavsched.model import (
     compute_energy,
     instance_from_parts,
 )
+
+
+def sampling_exhausted(exc: ValueError) -> bool:
+    """Whether ``exc`` is route sampling giving up on a network too sparse, rather than some other bad value."""
+    return re.fullmatch(
+        r"could not route flow \d+ after \d+ attempts; network too sparse|fewer than two UAVs remain in service", str(exc)
+    ) is not None
+
 
 # Reference four-flow/five-UAV worked example: T in seconds, all hover
 # powers 100 W.  Flow 0 crosses UAVs 0,1,2; flows 1..3 cross two UAVs each.

@@ -16,7 +16,7 @@ import pytest
 
 import uavsched
 from uavsched.cli import main
-from uavsched import experiment, netgen
+from uavsched import experiment, netgen, ordering
 from uavsched.experiment import CSV_COLUMNS, MAX_ITERATIONS, ExperimentConfig, read_csv
 from uavsched.model import DEFAULT_TIMINGS, Schedule, compute_energy, instance_from_parts, instance_to_json, timings_to_json
 from uavsched.netgen import MAX_FLOWS, MAX_UAVS, HoverParams, NetworkParams, RadioParams
@@ -487,6 +487,76 @@ class TestSizeLimits:
         assert message in capsys.readouterr().err
 
 
+ONE_FLOW = {"flows": [{"id": 0, "t_ms": 10.0, "delta": [0]}], "uavs": [{"id": 0, "p_watts": 5.0}]}
+
+
+def line_network(num_uavs: int, spacing: float, **extra) -> dict:
+    """A network document of 1 kg UAVs on a line ``spacing`` metres apart, plus ``extra`` top-level keys."""
+    uavs = [{"id": u, "x": spacing * u, "y": 0.0, "mass_kg": 1.0} for u in range(num_uavs)]
+    return {"params": {"num_uavs": num_uavs, "area_side": max(spacing * num_uavs, 1.0)}, "uavs": uavs, **extra}
+
+
+def sampled(network: dict, flows: int, retired: int) -> list:
+    return ["gen-instance", "--network", network, "--flows", str(flows), "--retired", str(retired), "--seed", "1"]
+
+
+class TestBadValueMessages:
+    """Each kind of bad value the library reports, reached from the command line.
+
+    A dict in ``argv`` is written to a file and replaced by its path.  The
+    stderr line is pinned byte for byte.
+    """
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["schedule", "--instance", dict(ONE_FLOW, timings={"tau_del_ms": -1}), "--method", "heuristic"],
+                "tau_del must be a positive finite duration, got -0.001",
+            ),
+            (
+                [*sampled(line_network(3, 5.0), 1, 1), "--tau-ins-ms", "-2"],
+                "tau_ins must be a positive finite duration, got -0.002",
+            ),
+            (
+                ["schedule", "--instance", dict(ONE_FLOW, uavs=[]), "--method", "heuristic"],
+                "flow 0 references unknown UAV ids [0]",
+            ),
+            (
+                ["schedule", "--instance", {"flows": [{"id": 0, "rule_counts": {"r_del": -1, "r_ins": 1, "r_mod": 1},
+                                                        "delta": [0]}], "uavs": ONE_FLOW["uavs"]},
+                 "--method", "heuristic"],
+                "r_del must be a non-negative integer, got -1",
+            ),
+            (
+                ["gen-instance", "--network", line_network(3, 5.0, retired=[2], flows=[{"id": 0, "route": [0, 1, 2]}])],
+                "route endpoints 0/2 may not be retiring UAVs",
+            ),
+            (sampled(line_network(2, 0.0), 1, 0), "distance must be positive, got 0.0"),
+            (sampled(line_network(3, 5e5), 1, 0), "could not route flow 0 after 1000 attempts; network too sparse"),
+            (sampled(line_network(2, 5.0), 1, 1), "fewer than two UAVs remain in service"),
+            (["experiment", "--config", {"iterations": 1}], "iterations must be in [2, 100000], got 1"),
+            (sampled(line_network(3, 5.0), 0, 0), "no flows and no retiring UAVs given"),
+            (
+                ["export-ilp", "--instance", {"flows": [], "uavs": ONE_FLOW["uavs"]}],
+                "ordering model needs at least two elements, got n+m = 1",
+            ),
+        ],
+        ids=[
+            "negative-tau-in-instance", "negative-tau-flag", "flow-crosses-no-uav", "negative-rule-count",
+            "route-ends-at-retiring-uav", "two-uavs-at-one-point", "too-sparse-to-route", "one-uav-in-service",
+            "one-iteration", "no-flows-no-retiring-uavs", "lp-of-one-element",
+        ],
+    )
+    def test_exits_2_with_the_message(self, tmp_path, capsys, argv, message):
+        args = [write_json(tmp_path / f"{i}.json", a) if isinstance(a, dict) else a for i, a in enumerate(argv)]
+        out = tmp_path / "out"
+        destination = "--csv" if argv[0] == "experiment" else "--out"
+        assert main([*args, destination, str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestExportIlp:
     def test_reference_instance_has_72_binaries(self, tmp_path, reference_file):
         out = tmp_path / "model.lp"
@@ -502,6 +572,21 @@ class TestExportIlp:
         text = out.read_text()
         assert len(re.findall(r"^ x_\d+_\d+$", text, flags=re.M)) == 2
         assert "dep_1_2: x_1_2 = 1" in text
+
+    @pytest.mark.parametrize("flows,code", [(ordering.LP_SIZE_CAP - 1, 0), (ordering.LP_SIZE_CAP, 4)], ids=["at-cap", "past-cap"])
+    def test_size_cap_is_checked_before_the_text_is_rendered(self, tmp_path, capsys, monkeypatch, flows, code):
+        # flows over one UAV, so n+m = flows + 1; the text is never rendered at this size
+        rendered = []
+        monkeypatch.setattr(ordering, "lp_text", lambda model: rendered.append(model.size) or "stub\n")
+        doc = {"flows": [{"id": i, "t_ms": 1.0, "delta": [0]} for i in range(flows)], "uavs": ONE_FLOW["uavs"]}
+        out = tmp_path / "model.lp"
+        assert main(["export-ilp", "--instance", write_json(tmp_path / "i.json", doc), "--out", str(out)]) == code
+        if code:
+            message = f"LP export capped at n+m = {ordering.LP_SIZE_CAP}, instance has {flows} flows and 1 UAVs"
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert rendered == [] and not out.exists()
+        else:
+            assert rendered == [ordering.LP_SIZE_CAP]
 
     def test_repeat_export_is_byte_identical(self, tmp_path, reference_file):
         a, b = tmp_path / "a.lp", tmp_path / "b.lp"

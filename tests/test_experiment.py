@@ -13,7 +13,6 @@ import pytest
 import uavsched
 import uavsched.cli
 from uavsched import experiment
-from uavsched.errors import ConfigInvalid, TooFewSamples
 from uavsched.experiment import (
     MAX_ITERATIONS,
     CellStats,
@@ -75,7 +74,7 @@ class TestSummarize:
             assert got == pytest.approx(2.5 * expected, rel=1e-12)
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValueError, match="need at least 2 samples, got 1"):
             summarize([4.0])
 
     @pytest.mark.parametrize(
@@ -90,42 +89,42 @@ class TestSummarize:
 
 class TestConfigValidation:
     def test_needs_two_iterations(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ValueError, match=re.escape("iterations must be in [2, 100000], got 1")):
             desk_config(iterations=1)
 
     def test_needs_methods(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ValueError, match="methods must not be empty"):
             desk_config(methods=())
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ValueError, match="unknown method 'gurobi'; choose from"):
             desk_config(methods=("heuristic", "gurobi"))
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ValueError, match="methods must not repeat"):
             desk_config(methods=("random", "random"))
 
     def test_cell_lists_must_not_repeat(self):
         # a repeated cell was run twice and written as two CSV rows that read_csv refuses
-        with pytest.raises(ConfigInvalid, match="must not repeat"):
+        with pytest.raises(ValueError, match="must not repeat"):
             desk_config(n_flows_list=(8, 8))
-        with pytest.raises(ConfigInvalid, match="must not repeat"):
+        with pytest.raises(ValueError, match="must not repeat"):
             desk_config(m_list=(3, 4, 3))
 
     def test_exact_cap_at_most_the_dp_limit(self):
         assert desk_config(exact_cap=22).exact_cap == 22
-        with pytest.raises(ConfigInvalid, match="exact_cap"):
+        with pytest.raises(ValueError, match="exact_cap"):
             desk_config(exact_cap=23)
-        with pytest.raises(ConfigInvalid, match="exact_cap"):
+        with pytest.raises(ValueError, match="exact_cap"):
             desk_config(exact_cap=-1)
 
     def test_size_limits(self):
         # checked in the config, before a network is generated or a flow sampled
         assert desk_config(iterations=MAX_ITERATIONS).iterations == MAX_ITERATIONS
         assert desk_config(n_flows_list=(MAX_FLOWS,)).n_flows_list == (MAX_FLOWS,)
-        with pytest.raises(ConfigInvalid, match="iterations"):
+        with pytest.raises(ValueError, match="iterations"):
             desk_config(iterations=MAX_ITERATIONS + 1)
-        with pytest.raises(ConfigInvalid, match="n_flows"):
+        with pytest.raises(ValueError, match="n_flows"):
             desk_config(n_flows_list=(8, MAX_FLOWS + 1))
 
     def test_m_must_fit_the_network(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ValueError, match=re.escape("m=20 must be in [0, num_uavs)")):
             desk_config(m_list=(20,))
 
     def test_json_round_trip_and_unknown_keys(self):
@@ -141,13 +140,13 @@ class TestConfigValidation:
         )
         assert config.n_flows_list == (5,)
         assert config.network.num_uavs == 12
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ValueError, match=re.escape("experiment config: unknown fields ['mlist']")):
             config_from_json({"iterations": 4, "mlist": [2]})
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ValueError, match="experiment config must be a JSON object"):
             config_from_json("not an object")
 
     def test_workers_is_an_unknown_field(self):
-        with pytest.raises(ConfigInvalid, match="workers"):
+        with pytest.raises(ValueError, match="workers"):
             config_from_json({"workers": 4})
 
 
@@ -437,6 +436,23 @@ class TestCellMemo:
         else:
             assert len(distinct) == cells
             assert [size == 0 for _, size in caches] == [k == 0 for _ in range(cells) for k in range(config.iterations)]
+
+    @pytest.mark.parametrize("resample", [False, True], ids=["fixed-retiring-set", "resampled-retiring-sets"])
+    def test_one_pair_table_per_retiring_set(self, monkeypatch, resample):
+        # a fixed retiring set is drawn and tabled once per cell, a resampled
+        # one once per iteration, and never both
+        made = []
+        table = experiment.PairTable
+
+        def counted(net, retired):
+            made.append(retired)
+            return table(net, retired)
+
+        monkeypatch.setattr(experiment, "PairTable", counted)
+        config = desk_config(resample_retired_per_iteration=resample)
+        run_experiment(config)
+        cells = len(config.n_flows_list) * len(config.m_list)
+        assert len(made) == cells * (config.iterations if resample else 1)
 
     @pytest.mark.parametrize(
         "name,overrides,csv_sha256,digests_sha256",

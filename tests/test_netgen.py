@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavsched import netgen
-from uavsched.errors import NonPositiveDistance, SamplingExhausted, Unreachable
+from uavsched.errors import Unreachable
 from uavsched.netgen import (
     MAX_FLOWS,
     MAX_UAVS,
@@ -34,6 +34,8 @@ from uavsched.netgen import (
     snr_at_distance,
 )
 
+from helpers import sampling_exhausted
+
 RADIO = RadioParams()
 HOVER = HoverParams()
 
@@ -55,7 +57,7 @@ class TestPathLoss:
 
     def test_non_positive_distance_rejected(self):
         for bad in (0.0, -1.0):
-            with pytest.raises(NonPositiveDistance):
+            with pytest.raises(ValueError, match=f"distance must be positive, got {bad!r}"):
                 path_loss(bad, RADIO)
 
 
@@ -341,7 +343,7 @@ class TestSampleScenario:
         params = NetworkParams(num_uavs=6, area_side=5000.0)
         net = generate_network(params, seed=11)
         assert all(not nb for nb in net.links)
-        with pytest.raises(SamplingExhausted):
+        with pytest.raises(ValueError, match="could not route flow 0 after 1000 attempts; network too sparse"):
             sample_scenario(net, 2, 1, seed=11)
 
     def test_retired_count_bounds(self):
@@ -365,7 +367,7 @@ def seed_sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_
     """The original sampler, one rng.sample per draw, kept verbatim as the draw oracle."""
     candidates = sorted(set(range(net.num_uavs)) - set(retired))
     if len(candidates) < 2:
-        raise SamplingExhausted("fewer than two UAVs remain in service")
+        raise ValueError("fewer than two UAVs remain in service")
     routes = []
     for fid in range(n_flows):
         for _ in range(max_attempts):
@@ -377,18 +379,20 @@ def seed_sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_
             routes.append((fid, route))
             break
         else:
-            raise SamplingExhausted(
+            raise ValueError(
                 f"could not route flow {fid} after {max_attempts} attempts; network too sparse"
             )
     return tuple(routes)
 
 
 def sampling_outcome(sampler, net, retired, n_flows, seed, max_attempts):
-    """The routes or the SamplingExhausted message, and the generator's next random()."""
+    """The routes or the message of sampling giving up, and the generator's next random()."""
     rng = random.Random(seed)
     try:
         outcome = sampler(net, retired, n_flows, rng, max_attempts)
-    except SamplingExhausted as exc:
+    except ValueError as exc:
+        if not sampling_exhausted(exc):
+            raise
         outcome = str(exc)
     return outcome, rng.random()
 
