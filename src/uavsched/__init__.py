@@ -38,7 +38,6 @@ from .ordering import (
     TotalOrderMatrix,
     build_ilp,
     dependency_from_instance,
-    export_lp,
     ilp_objective,
     order_to_schedule,
     schedule_to_canonical_order,
@@ -58,10 +57,8 @@ from .experiment import (
     CellStats,
     ExperimentConfig,
     ExperimentResult,
-    emit_svg,
     run_experiment,
     summarize,
-    write_csv,
 )
 
 __version__ = "0.1.0"

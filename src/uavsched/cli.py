@@ -94,7 +94,7 @@ def cmd_schedule(args) -> int:
 def cmd_export_ilp(args) -> int:
     instance = model.instance_from_json(_load_json(args.instance))
     ilp = ordering.build_ilp(instance)
-    ordering.export_lp(ilp, args.out)
+    write_text(args.out, ordering.lp_text(ilp), "LP file")
     print(f"wrote LP with {ilp.variable_count} binaries to {args.out}", file=sys.stderr)
     return 0
 
@@ -116,11 +116,10 @@ def cmd_experiment(args) -> int:
             pass
         print(f"interrupted; {len(completed)} completed cells flushed as incomplete", file=sys.stderr)
         return 130
-    exp.write_csv(result, csv_path)
-    if svg_energy:
-        exp.emit_svg(result, "energy", svg_energy)
-    if svg_runtime:
-        exp.emit_svg(result, "runtime", svg_runtime)
+    write_text(csv_path, exp.csv_text(result.cells), "CSV")
+    for metric, svg_path in (("energy", svg_energy), ("runtime", svg_runtime)):
+        if svg_path:
+            write_text(svg_path, exp.svg_text(result.cells, metric), "SVG")
     print(f"wrote {len(result.cells)} cells to {csv_path}", file=sys.stderr)
     return 0
 

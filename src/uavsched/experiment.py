@@ -17,15 +17,8 @@ import json
 import math
 from pathlib import Path
 
-from .errors import InstanceTooLarge, IoFailure, dataclass_from_json, write_text
-from .model import (
-    DEFAULT_TIMINGS,
-    RuleTimings,
-    build_instance,
-    flow_to_json,
-    instance_to_json,
-    timings_from_json,
-)
+from .errors import InstanceTooLarge, IoFailure, dataclass_from_json
+from .model import DEFAULT_TIMINGS, RuleTimings, build_instance, instance_to_json, timings_from_json
 from .netgen import MAX_FLOWS, NetworkParams, PairTable, generate_network, sample_flow_routes, sample_retired_set
 from .sched import EXACT_CAP_DEFAULT, METHODS
 # perfbench/spans.py rebinds these names in this module; the experiment reaches them through METHODS
@@ -70,8 +63,8 @@ class ExperimentConfig:
         if len(set(self.n_flows_list)) != len(self.n_flows_list) or len(set(self.m_list)) != len(self.m_list):
             raise ValueError("n_flows_list and m_list must not repeat: a cell would be run and written twice")
         for m in self.m_list:
-            if not 0 <= m < self.network.num_uavs:
-                raise ValueError(f"m={m} must be in [0, num_uavs)")
+            if not 0 <= m <= self.network.num_uavs - 2:  # flows need two endpoints in service
+                raise ValueError(f"m={m} must be in [0, num_uavs - 2 = {self.network.num_uavs - 2}]")
         for n_f in self.n_flows_list:
             if not 1 <= n_f <= MAX_FLOWS:
                 raise ValueError(f"n_flows={n_f} must be in [1, {MAX_FLOWS}]")
@@ -140,15 +133,12 @@ class _CellMemo:
 
     ``table`` is the cell's PairTable: each endpoint pair is routed once,
     and only the flows that cross the retiring set reach build_instance.
-    The note of a crossing pair's entry keeps the flow's entry in the
-    instance's JSON text as the text before and after its id, the flow's
-    position.  That text depends on the flow's FlowSpec alone, and many
-    pairs share one, so ``fragments`` renders it once per FlowSpec value
-    when a pair's note is first set.  ``cache`` is build_instance's route
-    cache, mapping each route to its FlowSpec, and ``uavs`` the retiring
-    set that every call passes and build_instance compares by value with
-    the one the cache was filled for.  ``tail``, the text after the flows,
-    is the same for every instance of the cell.
+    ``cache`` is build_instance's route cache, which maps each route to its
+    FlowSpec and keeps one FlowSpec object per value, so each flow's JSON
+    text (FlowSpec.json_parts) is rendered once per cell.  ``uavs`` is the
+    retiring set that every call passes and build_instance compares by
+    value with the one the cache was filled for.  ``tail``, the text after
+    the flows, is the same for every instance of the cell.
     """
 
     def __init__(self, net, retired):
@@ -158,25 +148,15 @@ class _CellMemo:
         self.table = PairTable(net, retired) if retired else None
         self.uavs = tuple((u, net.hover_powers[u]) for u in sorted(retired))
         self.cache = {}
-        self.fragments = {}
         self.tail = None
 
-    def instance_text(self, instance, kept) -> str:
-        """``json.dumps(instance_to_json(instance), sort_keys=True)``, assembled from the kept flows' notes."""
+    def instance_text(self, instance) -> str:
+        """``json.dumps(instance_to_json(instance), sort_keys=True)``, joined from each flow's json_parts."""
         if self.tail is None:
             doc = instance_to_json(instance)
             del doc["flows"]
             self.tail = json.dumps(doc, sort_keys=True)[1:]
-        parts = []
-        for fid, (flow, (_, entry)) in enumerate(zip(instance.flows, kept)):
-            fragment = entry[1]
-            if fragment is None:
-                fragment = self.fragments.get(flow)
-                if fragment is None:
-                    head, id_key, rest = json.dumps(flow_to_json(fid, flow), sort_keys=True).partition('"id": ')
-                    fragment = self.fragments[flow] = (head + id_key, rest[len(str(fid)):])
-                entry[1] = fragment
-            parts.append(f"{fragment[0]}{fid}{fragment[1]}")
+        parts = [f"{head}{fid}{rest}" for fid, (head, rest) in enumerate(flow.json_parts for flow in instance.flows)]
         return '{"flows": [' + ", ".join(parts) + "], " + self.tail
 
 
@@ -189,10 +169,9 @@ def _memo(config: ExperimentConfig, net, n_f: int, m: int, *k: int) -> _CellMemo
 def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, k: int, memo: _CellMemo):
     """One iteration's instance digest and method outcomes under the memo's retiring set."""
     flow_rng = random.Random(_derive_seed(config.master_seed, "flows", n_f, m, k))
-    kept = sample_flow_routes(net, memo.retired, n_f, flow_rng, table=memo.table)
-    flows = [(fid, entry[0]) for fid, entry in kept] if memo.table else kept
+    flows = sample_flow_routes(net, memo.retired, n_f, flow_rng, table=memo.table)
     instance = build_instance(flows, memo.uavs, config.timings, cache=memo.cache).instance
-    text = memo.instance_text(instance, kept)
+    text = memo.instance_text(instance)
     outcomes = {}
     for method in config.methods:
         seed = _derive_seed(config.master_seed, method, n_f, m, k) if METHODS[method].seeded else None
@@ -273,12 +252,6 @@ def csv_text(cells) -> str:
             ]
         )
     return buffer.getvalue()
-
-
-def write_csv(result: ExperimentResult, destination) -> str:
-    text = csv_text(result.cells)
-    write_text(destination, text, "CSV")
-    return text
 
 
 def _csv_number(row: dict, column: str, kind: type, where: str):
@@ -430,12 +403,6 @@ def svg_text(cells, metric: str) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def emit_svg(result: ExperimentResult, metric: str, destination) -> str:
-    text = svg_text(result.cells, metric)
-    write_text(destination, text, "SVG")
-    return text
 
 
 def config_from_json(data: dict) -> ExperimentConfig:

@@ -10,6 +10,7 @@ the cumulative finish time of the last flow of relay j.
 
 from dataclasses import dataclass
 from functools import cached_property
+import json
 import math
 
 from .errors import json_scalar, schema_errors
@@ -79,6 +80,16 @@ class FlowSpec:
     handover_time: float
     retired_set: frozenset[int]
     rule_counts: RuleCounts | None = None
+
+    @cached_property
+    def json_parts(self) -> tuple[str, str]:
+        """The flow's compact sorted-key flow_to_json text, split where its id goes.
+
+        Rendered once per object and kept outside the fields, so equality,
+        hashing and repr see the flow alone.
+        """
+        head, id_key, rest = json.dumps(flow_to_json(0, self), sort_keys=True).partition('"id": ')
+        return head + id_key, rest[1:]
 
 
 @dataclass(frozen=True)
@@ -295,10 +306,11 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
     ``cache``, a dict the caller creates empty and passes to every call with
     the same retiring set and timings, maps each route seen to its FlowSpec,
     or to None when the route misses the retiring set.  A route is checked
-    once, when its entry is made, and builds that see it again share that
-    FlowSpec.  The cache remembers the retiring set and timings it was
-    filled for and compares every call's with them; other ones raise
-    ValueError.
+    once, when its entry is made.  Equal FlowSpecs are interned in the same
+    dict, so routes that derive equal flows, and every build that sees
+    them, share one FlowSpec object.  The cache remembers the retiring set
+    and timings it was filled for and compares every call's with them;
+    other ones raise ValueError.
     """
     flows = list(flows)
     retired_uavs = sorted(retired_uavs, key=lambda item: item[0])
@@ -325,7 +337,10 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
         if nodes in cache:
             spec = cache[nodes]
         else:
-            spec = cache[nodes] = _route_flow(fid, nodes, retired_ids, dense_of_uav, timings)
+            spec = _route_flow(fid, nodes, retired_ids, dense_of_uav, timings)
+            if spec is not None:
+                spec = cache.setdefault(spec, spec)
+            cache[nodes] = spec
         if spec is not None:
             flow_ids.append(fid)
             specs.append(spec)

@@ -230,15 +230,14 @@ def sample_retired_set(net: UavNetwork, count: int, rng: random.Random) -> froze
 
 
 class PairTable:
-    """What each ordered endpoint pair derives to, for one network and retiring set.
+    """What each ordered endpoint pair routes to, for one network and retiring set.
 
     ``candidates`` are the c in-service UAVs in ascending order, and
     ``slots[a * c + b]`` belongs to the pair (candidates[a], candidates[b]).
     sample_flow_routes fills a slot the first time it draws the pair: with
     False when no path joins the pair, with ``()`` when the pair's route
-    crosses no retiring UAV, and with ``[route, note]`` when it crosses
-    one.  The note starts as None and is the caller's to set (the sweep
-    keeps the flow's text there).  Slots never drawn stay None.
+    crosses no retiring UAV, and with the route itself when it crosses one.
+    Slots never drawn stay None.
     """
 
     def __init__(self, net: UavNetwork, retired):
@@ -254,7 +253,7 @@ class PairTable:
         except Unreachable:
             entry = False
         else:
-            entry = () if self.retired.isdisjoint(route) else [route, None]
+            entry = () if self.retired.isdisjoint(route) else route
         self.slots[a * len(self.candidates) + b] = entry
         return entry
 
@@ -273,11 +272,11 @@ def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attem
     unchanged.  Endpoint pairs that turn out unreachable are rejected and
     redrawn, up to ``max_attempts`` times per flow.
 
-    Without ``table`` every draw asks shortest_route for its route, and
-    every flow comes back as (fid, route).  With ``table``, a PairTable of
-    this network and retiring set, a pair is routed only on its first draw
-    from the table, and only the flows whose routes cross the retiring set
-    come back, each as (fid, entry) with the pair's entry ``[route, note]``.
+    Flows come back as (fid, route).  Without ``table`` every draw asks
+    shortest_route for its route, and every flow comes back.  With
+    ``table``, a PairTable of this network and retiring set, a pair is
+    routed only on its first draw from the table, and only the flows whose
+    routes cross the retiring set come back.
     """
     if table is None:
         candidates = _in_service(net, retired)
@@ -324,7 +323,7 @@ def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attem
                 break
         else:
             raise ValueError(f"could not route flow {fid} after {max_attempts} attempts; network too sparse")
-        if entry:  # a route, or a table entry of a route that crosses the retiring set
+        if entry:  # a route; a table's () marks one that misses the retiring set
             flows.append((fid, entry))
     return tuple(flows)
 

@@ -4,14 +4,14 @@ Flows and retiring UAVs share one index set: flow i takes combined index i
 (1-based), UAV j takes index n+j.  A feasible solution is a strict total
 order on that set that contains every flow-before-its-UAV dependency pair;
 its cost counts T_i * P_j for every flow ordered before a UAV.  The module
-builds the binary model, exports it in LP format for external solvers,
+builds the binary model, renders it as LP text for external solvers,
 validates candidate orders, and converts between orders and schedules.
 """
 
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import InstanceTooLarge, write_text
+from .errors import InstanceTooLarge
 from .model import ReplacementInstance, Schedule, ensure_valid_schedule
 
 # Largest n+m the LP is built for: its text grows as about 50 (n+m)^3 bytes,
@@ -173,13 +173,6 @@ def lp_text(model: IlpModel) -> str:
     )
     blocks.append("End\n")
     return "".join(blocks)
-
-
-def export_lp(model: IlpModel, destination) -> str:
-    """Write the LP text to a file and return it."""
-    text = lp_text(model)
-    write_text(destination, text, "LP file")
-    return text
 
 
 def validate_total_order(x: TotalOrderMatrix, dependency: DependencyRelation) -> list[Violation]:

@@ -480,6 +480,9 @@ class TestSizeLimits:
         ("iterations", MAX_ITERATIONS + 1, f"iterations must be in [2, {MAX_ITERATIONS}]"),
         ("n_flows_list", [8, MAX_FLOWS + 1], f"must be in [1, {MAX_FLOWS}]"),
         ("network", {"num_uavs": MAX_UAVS + 1}, f"num_uavs must be in [2, {MAX_UAVS}]"),
+        # 19 of 20 UAVs retired leaves one in service, too few to draw a flow:
+        # refused before the m = 3 cell runs
+        ("m_list", [3, 19], "m=19 must be in [0, num_uavs - 2 = 18]"),
     ])
     def test_experiment(self, tmp_path, capsys, field, value, message):
         cfg = write_json(tmp_path / "cfg.json", dict(DESK_CONFIG, **{field: value}))
@@ -587,6 +590,19 @@ class TestExportIlp:
             assert rendered == [] and not out.exists()
         else:
             assert rendered == [ordering.LP_SIZE_CAP]
+
+    def test_export_renders_through_the_module_level_lp_text(self, tmp_path, monkeypatch, reference_file):
+        calls = []
+
+        def recorded(model):
+            calls.append(model)
+            return "stub\n"
+
+        monkeypatch.setattr(ordering, "lp_text", recorded)
+        out = tmp_path / "stub.lp"
+        assert main(["export-ilp", "--instance", reference_file, "--out", str(out)]) == 0
+        assert [(model.n, model.m) for model in calls] == [(4, 5)]
+        assert out.read_text() == "stub\n"
 
     def test_repeat_export_is_byte_identical(self, tmp_path, reference_file):
         a, b = tmp_path / "a.lp", tmp_path / "b.lp"

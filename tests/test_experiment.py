@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: statistics, pairing, CSV and SVG output."""
 
 import dataclasses
+from functools import cached_property
 import hashlib
 import importlib.util
 import json
@@ -12,19 +13,18 @@ import pytest
 
 import uavsched
 import uavsched.cli
-from uavsched import experiment
+from uavsched import experiment, model
+from uavsched.errors import write_text
 from uavsched.experiment import (
     MAX_ITERATIONS,
     CellStats,
     ExperimentConfig,
     config_from_json,
     csv_text,
-    emit_svg,
     read_csv,
     run_experiment,
     summarize,
     svg_text,
-    write_csv,
 )
 from uavsched.netgen import MAX_FLOWS, NetworkParams
 from uavsched.sched import METHODS
@@ -124,8 +124,11 @@ class TestConfigValidation:
             desk_config(n_flows_list=(8, MAX_FLOWS + 1))
 
     def test_m_must_fit_the_network(self):
-        with pytest.raises(ValueError, match=re.escape("m=20 must be in [0, num_uavs)")):
-            desk_config(m_list=(20,))
+        # flows are drawn between two UAVs in service, so at most num_uavs - 2 retire
+        assert desk_config(m_list=(0, 18)).m_list == (0, 18)
+        for m in (19, 20, -1):
+            with pytest.raises(ValueError, match=re.escape(f"m={m} must be in [0, num_uavs - 2 = 18]")):
+                desk_config(m_list=(3, m))
 
     def test_json_round_trip_and_unknown_keys(self):
         config = config_from_json(
@@ -221,8 +224,9 @@ class TestRunExperiment:
 class TestCsv:
     def test_header_and_sorting(self, tmp_path):
         result = run_experiment(desk_config())
-        text = write_csv(result, tmp_path / "out.csv")
-        lines = text.splitlines()
+        path = tmp_path / "out.csv"
+        write_text(path, csv_text(result.cells), "CSV")
+        lines = path.read_text().splitlines()
         assert lines[0] == "m,n_f,method,k,mean_energy_j,se_j,ci_lo_j,ci_hi_j,mean_runtime_s"
         keys = []
         for line in lines[1:]:
@@ -233,14 +237,15 @@ class TestCsv:
     def test_two_writes_are_byte_identical(self, tmp_path):
         result = run_experiment(desk_config(iterations=2))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(result, a)
-        write_csv(result, b)
+        write_text(a, csv_text(result.cells), "CSV")
+        write_text(b, csv_text(result.cells), "CSV")
         assert a.read_bytes() == b.read_bytes()
 
     def test_round_trip_preserves_the_printed_statistics(self, tmp_path):
         result = run_experiment(desk_config(iterations=3))
         path = tmp_path / "out.csv"
-        first = write_csv(result, path)
+        first = csv_text(result.cells)
+        write_text(path, first, "CSV")
         cells = read_csv(path)
         assert csv_text(cells) == first
 
@@ -281,8 +286,8 @@ class TestSvg:
     def test_deterministic_bytes(self, tmp_path):
         result = run_experiment(desk_config(iterations=2))
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        emit_svg(result, "energy", a)
-        emit_svg(result, "energy", b)
+        write_text(a, svg_text(result.cells, "energy"), "SVG")
+        write_text(b, svg_text(result.cells, "energy"), "SVG")
         assert a.read_bytes() == b.read_bytes()
 
     def test_error_bar_height_tracks_the_confidence_interval(self):
@@ -396,13 +401,13 @@ def test_criterion_5_sweep_matches_the_values_recorded_before_the_free_flow_kern
 class TestCellMemo:
     @pytest.mark.parametrize("resample", [False, True], ids=["fixed-retiring-set", "resampled-retiring-sets"])
     def test_fragment_text_equals_the_plain_json_on_every_iteration(self, monkeypatch, resample):
-        # the digest text assembled from per-flow fragments must be the
+        # the digest text joined from each flow's json_parts must be the
         # very bytes of json.dumps(instance_to_json(instance), sort_keys=True)
         assembled = experiment._CellMemo.instance_text
         seen = []
 
-        def checked(memo, instance, kept):
-            text = assembled(memo, instance, kept)
+        def checked(memo, instance):
+            text = assembled(memo, instance)
             assert text == json.dumps(experiment.instance_to_json(instance), sort_keys=True)
             seen.append(instance.n)
             return text
@@ -412,6 +417,33 @@ class TestCellMemo:
         run_experiment(config)
         assert len(seen) == 3 * len(config.n_flows_list) * len(config.m_list)
         assert min(seen) > 0
+
+    def test_each_flow_value_is_rendered_once_per_cell(self, monkeypatch):
+        # the route cache interns equal FlowSpecs, so a paper-scale cell
+        # renders one flow text per distinct FlowSpec value, however many
+        # routes and iterations derive it
+        rendered = []
+        render = model.FlowSpec.json_parts.func
+
+        def counted(flow):
+            rendered.append(flow)
+            return render(flow)
+
+        parts = cached_property(counted)
+        parts.__set_name__(model.FlowSpec, "json_parts")
+        monkeypatch.setattr(model.FlowSpec, "json_parts", parts)
+        flows = set()
+        build = experiment.build_instance
+
+        def recorded(*args, **kwargs):
+            result = build(*args, **kwargs)
+            flows.update(result.instance.flows)
+            return result
+
+        monkeypatch.setattr(experiment, "build_instance", recorded)
+        run_experiment(script_config("full_sweep.json", n_flows_list=(70,), m_list=(10,)))
+        assert len(rendered) == len(flows) > 1
+        assert set(rendered) == flows
 
     @pytest.mark.parametrize("resample", [False, True], ids=["fixed-retiring-set", "resampled-retiring-sets"])
     def test_route_cache_lives_as_long_as_the_retiring_set(self, monkeypatch, resample):

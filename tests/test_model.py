@@ -213,6 +213,18 @@ class TestRouteCache:
         with pytest.raises(ValueError, match="another retiring set or other timings"):
             build_instance([(0, (5, 1, 6))], uavs, cache=cache)
 
+    def test_routes_that_derive_equal_flows_share_one_flow_spec(self):
+        # each route crosses UAV 1 alone, as one run of one relay
+        uavs = [(1, 10.0), (2, 20.0)]
+        cache = {}
+        first = build_instance([(0, (5, 1, 6)), (1, (7, 1, 8)), (2, (7, 2, 8))], uavs, cache=cache).instance
+        assert first.flows[1] is first.flows[0]
+        assert first.flows[2] is not first.flows[0]
+        second = build_instance([(3, (9, 1, 4)), (4, (5, 1, 6))], uavs, cache=cache).instance
+        assert second.flows[0] is first.flows[0]
+        assert second.flows[1] is first.flows[0]
+        assert cache[(9, 1, 4)] is first.flows[0]
+
     def test_a_repeated_route_shares_one_flow_spec(self):
         uavs = [(1, 10.0), (2, 20.0)]
         cache = {}

@@ -467,8 +467,7 @@ def crossing_outcome(net, retired, n_flows, seed, max_attempts, table=None):
         return outcome, after
 
     def through_table(net_, retired_, n_flows_, rng, max_attempts_):
-        kept = sample_flow_routes(net_, retired_, n_flows_, rng, max_attempts_, table=table)
-        return tuple((fid, entry[0]) for fid, entry in kept)
+        return sample_flow_routes(net_, retired_, n_flows_, rng, max_attempts_, table=table)
 
     return sampling_outcome(through_table, net, retired, n_flows, seed, max_attempts)
 
@@ -533,9 +532,19 @@ class TestPairTable:
         assert calls == list(dict.fromkeys(draws))
         assert len(calls) < len(draws) / 5
         assert sum(entry is not None for entry in table.slots) == len(calls)
-        assert [[(fid, entry[0]) for fid, entry in flows] for flows in kept] == [
-            [(fid, route) for fid, route in flows if not retired.isdisjoint(route)] for flows in plain
-        ]
+        assert kept == [tuple((fid, route) for fid, route in flows if not retired.isdisjoint(route)) for flows in plain]
+        # a slot holds routing alone: False for an unreachable pair, the route
+        # of a crossing pair, () for one that misses the retiring set
+        c = len(table.candidates)
+        for slot, entry in enumerate(table.slots):
+            if entry is not None:
+                try:
+                    route = shortest_route(net, table.candidates[slot // c], table.candidates[slot % c])
+                except Unreachable:
+                    assert entry is False
+                else:
+                    assert entry == (() if retired.isdisjoint(route) else route)
+        assert False in table.slots
 
     def test_a_table_of_another_retiring_set_is_refused(self):
         net = generate_network(SPARSE, seed=4)

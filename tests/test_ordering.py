@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavsched import ordering
+from uavsched.errors import write_text
 from uavsched.model import Schedule, compute_energy, instance_from_parts
 from uavsched.ordering import (
     DependencyRelation,
@@ -16,7 +16,6 @@ from uavsched.ordering import (
     TotalOrderMatrix,
     build_ilp,
     dependency_from_instance,
-    export_lp,
     ilp_objective,
     lp_text,
     order_to_schedule,
@@ -194,7 +193,8 @@ class TestBuildIlp:
 class TestExportLp:
     def test_singleton_file_content(self, tmp_path):
         path = tmp_path / "tiny.lp"
-        text = export_lp(build_ilp(singleton_instance()), path)
+        text = lp_text(build_ilp(singleton_instance()))
+        write_text(path, text, "LP file")
         assert path.read_text() == text
         binaries = re.findall(r"^ (x_\d+_\d+)$", text, flags=re.M)
         assert binaries == ["x_1_2", "x_2_1"]
@@ -203,7 +203,8 @@ class TestExportLp:
 
     def test_reference_model_counts_round_trip(self, tmp_path):
         path = tmp_path / "ref.lp"
-        text = export_lp(build_ilp(reference_instance()), path)
+        write_text(path, lp_text(build_ilp(reference_instance())), "LP file")
+        text = path.read_text()
         assert len(re.findall(r"^ x_\d+_\d+$", text, flags=re.M)) == 72
         assert len(re.findall(r"^ dep_", text, flags=re.M)) == 9
         assert len(re.findall(r"^ pair_", text, flags=re.M)) == 36
@@ -239,25 +240,11 @@ class TestExportLp:
     def test_text_matches_the_row_by_row_renderer_where_index_widths_change(self, n, m):
         assert_same_text(random_model(n, m, seed=n + m))
 
-    def test_export_renders_through_the_module_level_lp_text(self, tmp_path, monkeypatch):
-        calls = []
-
-        def recorded(model):
-            calls.append(model)
-            return "stub\n"
-
-        monkeypatch.setattr(ordering, "lp_text", recorded)
-        model = build_ilp(singleton_instance())
-        path = tmp_path / "stub.lp"
-        assert export_lp(model, path) == "stub\n"
-        assert calls == [model]
-        assert path.read_text() == "stub\n"
-
     def test_byte_identical_across_exports(self, tmp_path):
         ilp = build_ilp(reference_instance())
         a, b = tmp_path / "a.lp", tmp_path / "b.lp"
-        export_lp(ilp, a)
-        export_lp(ilp, b)
+        write_text(a, lp_text(ilp), "LP file")
+        write_text(b, lp_text(ilp), "LP file")
         assert a.read_bytes() == b.read_bytes()
 
 
