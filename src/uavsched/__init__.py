@@ -7,7 +7,6 @@ from .model import (
     FlowSpec,
     InstanceBuild,
     ReplacementInstance,
-    RetiredUav,
     RuleCounts,
     RuleTimings,
     Schedule,
@@ -30,7 +29,6 @@ from .netgen import (
     path_loss,
     sample_scenario,
     shortest_route,
-    snr,
 )
 from .ordering import (
     DependencyRelation,

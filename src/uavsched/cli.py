@@ -26,10 +26,11 @@ def _fail(message: str, code: int) -> int:
 
 def _load_json(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise IoFailure(f"could not read {path}: {exc}") from exc
-    return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _write_json(path, payload) -> None:
@@ -61,6 +62,8 @@ def cmd_gen_instance(args) -> int:
             return _fail("network file has no scenario; --flows, --retired, and --seed are required", 2)
         params, net = netgen.network_from_json(data)
         routes, retired = netgen.sample_scenario(net, args.flows, args.retired, seed=args.seed)
+    if not routes and not retired:
+        return _fail("no flows and no retiring UAVs given", 2)
     build = model.build_instance(routes, [(u, net.hover_powers[u]) for u in sorted(retired)], timings)
     _write_json(args.out, model.instance_to_json(build.instance))
     if args.scenario_out:
@@ -116,6 +119,8 @@ def cmd_experiment(args) -> int:
             pass
         print(f"interrupted; {len(completed)} completed cells flushed as incomplete", file=sys.stderr)
         return 130
+    if not result.cells:
+        return _fail(f"no cell completed: none had 2 iterations within exact_cap = {config.exact_cap}", 2)
     write_text(csv_path, exp.csv_text(result.cells), "CSV")
     for metric, svg_path in (("energy", svg_energy), ("runtime", svg_runtime)):
         if svg_path:

@@ -10,6 +10,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import fields, is_dataclass
 import os
 from pathlib import Path
+import secrets
 import sys
 from types import UnionType
 from typing import get_args, get_origin
@@ -110,18 +111,24 @@ def write_text(destination, text: str, what: str) -> None:
 
     The text goes to a temporary file in the destination's directory, which
     then replaces the destination, so an existing file is never left half
-    written.  An OSError becomes IoFailure; the temporary file is removed on
-    any failure.
+    written.  Its name holds the process id and a random token, so no file
+    of another writer or of a killed run is touched, and at most 40
+    characters of the destination's name, so it stays within the file
+    system's 255-byte limit.  An OSError becomes IoFailure; a temporary
+    file this call made is removed on any failure.
     """
     path = Path(destination)
-    temporary = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    temporary = path.parent / f".{path.name[:40]}.{os.getpid()}.{secrets.token_hex(8)}.tmp"
+    created = False
     try:
-        with open(temporary, "x", encoding="ascii") as handle:
+        with open(temporary, "x", encoding="ascii") as handle:  # not mkstemp, whose files are 0600
+            created = True
             handle.write(text)
         os.replace(temporary, path)
     except BaseException as exc:
-        with suppress(OSError):
-            os.unlink(temporary)
+        if created:
+            with suppress(OSError):
+                os.unlink(temporary)
         if isinstance(exc, OSError):
             raise IoFailure(f"could not write {what} {destination}: {exc}") from exc
         raise

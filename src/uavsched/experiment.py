@@ -95,7 +95,6 @@ class CellStats:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    config: ExperimentConfig
     cells: tuple[CellStats, ...]
     instance_digests: dict[tuple[int, int], tuple[str, ...]]
 
@@ -131,21 +130,19 @@ def _derive_seed(master_seed: int, *parts) -> int:
 class _CellMemo:
     """What one sweep cell derives once, while its retiring set stays fixed.
 
-    ``table`` is the cell's PairTable: each endpoint pair is routed once,
-    and only the flows that cross the retiring set reach build_instance.
-    ``cache`` is build_instance's route cache, which maps each route to its
-    FlowSpec and keeps one FlowSpec object per value, so each flow's JSON
-    text (FlowSpec.json_parts) is rendered once per cell.  ``uavs`` is the
+    ``table`` is the cell's PairTable, the empty retiring set's included:
+    each endpoint pair is routed once, and only the flows that cross the
+    retiring set reach build_instance (none when it is empty).  ``cache`` is
+    build_instance's route cache, which maps each route to its FlowSpec and
+    keeps one FlowSpec object per value, so each flow's JSON text
+    (FlowSpec.json_parts) is rendered once per cell.  ``uavs`` is the
     retiring set that every call passes and build_instance compares by
     value with the one the cache was filled for.  ``tail``, the text after
     the flows, is the same for every instance of the cell.
     """
 
     def __init__(self, net, retired):
-        # with no retiring UAV no flow is kept; build_instance then still
-        # gets every flow, as it refuses an input with no flows and no UAVs
-        self.retired = retired
-        self.table = PairTable(net, retired) if retired else None
+        self.table = PairTable(net, retired)
         self.uavs = tuple((u, net.hover_powers[u]) for u in sorted(retired))
         self.cache = {}
         self.tail = None
@@ -169,7 +166,7 @@ def _memo(config: ExperimentConfig, net, n_f: int, m: int, *k: int) -> _CellMemo
 def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, k: int, memo: _CellMemo):
     """One iteration's instance digest and method outcomes under the memo's retiring set."""
     flow_rng = random.Random(_derive_seed(config.master_seed, "flows", n_f, m, k))
-    flows = sample_flow_routes(net, memo.retired, n_f, flow_rng, table=memo.table)
+    flows = sample_flow_routes(net, memo.table.retired, n_f, flow_rng, table=memo.table)
     instance = build_instance(flows, memo.uavs, config.timings, cache=memo.cache).instance
     text = memo.instance_text(instance)
     outcomes = {}
@@ -225,7 +222,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
                 cells.append(cell)
                 if progress is not None:
                     progress(cell)
-    return ExperimentResult(config=config, cells=tuple(cells), instance_digests=digests)
+    return ExperimentResult(cells=tuple(cells), instance_digests=digests)
 
 
 def _fmt(value: float) -> str:

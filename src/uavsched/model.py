@@ -271,11 +271,10 @@ def compute_energy(instance: ReplacementInstance, schedule: Schedule) -> EnergyR
 
 @dataclass(frozen=True)
 class InstanceBuild:
-    """An instance plus the stable maps from dense ids back to the inputs."""
+    """An instance plus the input ids of the flows it kept: flow i is input flow flow_ids[i]."""
 
     instance: ReplacementInstance
     flow_ids: tuple[int, ...]
-    uav_ids: tuple[int, ...]
 
 
 # build_instance keeps the retiring set and timings a cache was filled for
@@ -299,9 +298,10 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
 
     ``flows`` is a sequence of (flow_id, route) pairs, ``retired_uavs`` a
     sequence of (uav_id, hover_power) pairs.  Flows that do not cross any
-    retiring UAV are dropped; surviving identifiers are re-densified in
-    input order (flows) and ascending id order (UAVs), with the original
-    ids returned alongside.
+    retiring UAV are dropped; the kept flows are re-densified in input
+    order, with their input ids returned alongside, and UAV j is the j-th
+    retiring UAV in ascending id order.  With no retiring UAV the instance
+    is empty, also when no flow is given.
 
     ``cache``, a dict the caller creates empty and passes to every call with
     the same retiring set and timings, maps each route seen to its FlowSpec,
@@ -312,10 +312,7 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
     and timings it was filled for and compares every call's with them;
     other ones raise ValueError.
     """
-    flows = list(flows)
     retired_uavs = sorted(retired_uavs, key=lambda item: item[0])
-    if not flows and not retired_uavs:
-        raise ValueError("no flows and no retiring UAVs given")
     uav_original = tuple(uid for uid, _ in retired_uavs)
     retired_ids = set(uav_original)
     if len(retired_ids) != len(uav_original):
@@ -346,7 +343,7 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
             specs.append(spec)
     powers = tuple(power for _, power in retired_uavs)
     instance = ReplacementInstance(flows=tuple(specs), powers=powers, timings=timings)
-    return InstanceBuild(instance=instance, flow_ids=tuple(flow_ids), uav_ids=uav_original)
+    return InstanceBuild(instance=instance, flow_ids=tuple(flow_ids))
 
 
 def flow_to_json(fid: int, flow: FlowSpec) -> dict:

@@ -18,6 +18,7 @@ from .errors import Unreachable, dataclass_from_json, json_scalar, schema_errors
 # each flow is drawn and routed in turn
 MAX_UAVS = 1000
 MAX_FLOWS = 100_000
+MAX_ROUTE_ATTEMPTS = 1000  # endpoint pairs drawn for one flow before sampling gives up
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,6 @@ def snr_at_distance(distance: float, radio: RadioParams) -> float:
         - path_loss(distance, radio)
         - 10.0 * math.log10(radio.noise_power)
     )
-
-
-def snr(u: int, v: int, net: UavNetwork, radio: RadioParams) -> float:
-    """SNR in dB between two distinct UAVs of the network."""
-    if u == v:
-        raise ValueError("SNR is defined between distinct UAVs")
-    (xu, yu), (xv, yv) = net.positions[u], net.positions[v]
-    return snr_at_distance(math.hypot(xu - xv, yu - yv), radio)
 
 
 def hover_power(mass: float, hover: HoverParams) -> float:
@@ -237,7 +230,8 @@ class PairTable:
     sample_flow_routes fills a slot the first time it draws the pair: with
     False when no path joins the pair, with ``()`` when the pair's route
     crosses no retiring UAV, and with the route itself when it crosses one.
-    Slots never drawn stay None.
+    Slots never drawn stay None.  An empty retiring set is allowed: every
+    reachable pair then holds ``()``.
     """
 
     def __init__(self, net: UavNetwork, retired):
@@ -262,7 +256,7 @@ def _in_service(net: UavNetwork, retired) -> list[int]:
     return sorted(set(range(net.num_uavs)) - set(retired))
 
 
-def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attempts: int = 1000, table=None):
+def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, table=None):
     """Sample flow routes between random non-retiring endpoints.
 
     ``rng`` is a ``random.Random``.  Each endpoint pair is the one
@@ -270,13 +264,13 @@ def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attem
     the same ``rng.getrandbits`` calls without that method's per-call
     overhead, so the draws and the generator's state after them are
     unchanged.  Endpoint pairs that turn out unreachable are rejected and
-    redrawn, up to ``max_attempts`` times per flow.
+    redrawn, up to MAX_ROUTE_ATTEMPTS times per flow.
 
-    Flows come back as (fid, route).  Without ``table`` every draw asks
-    shortest_route for its route, and every flow comes back.  With
-    ``table``, a PairTable of this network and retiring set, a pair is
-    routed only on its first draw from the table, and only the flows whose
-    routes cross the retiring set come back.
+    Flows come back as (fid, route).  Without ``table`` (sample_scenario)
+    every draw asks shortest_route for its route, and every flow comes
+    back.  With ``table``, a PairTable of this network and retiring set (a
+    sweep cell's), a pair is routed only on its first draw from the table,
+    and only the flows whose routes cross the retiring set come back.
     """
     if table is None:
         candidates = _in_service(net, retired)
@@ -296,7 +290,7 @@ def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attem
     k2 = (c - 1).bit_length()
     flows = []
     for fid in range(n_flows):
-        for _ in range(max_attempts):
+        for _ in range(MAX_ROUTE_ATTEMPTS):
             a = getrandbits(k)
             while a >= c:
                 a = getrandbits(k)
@@ -322,7 +316,7 @@ def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, max_attem
             if entry is not False:  # False: no path, so the pair is redrawn
                 break
         else:
-            raise ValueError(f"could not route flow {fid} after {max_attempts} attempts; network too sparse")
+            raise ValueError(f"could not route flow {fid} after {MAX_ROUTE_ATTEMPTS} attempts; network too sparse")
         if entry:  # a route; a table's () marks one that misses the retiring set
             flows.append((fid, entry))
     return tuple(flows)

@@ -35,7 +35,7 @@ class DependencyRelation:
 
 @dataclass(frozen=True)
 class TotalOrderMatrix:
-    """Binary precedence matrix x over combined indices, x_ij = 1 iff i before j."""
+    """Binary precedence matrix over combined indices: rows[i - 1][j - 1] = x_ij = 1 iff i before j."""
 
     n: int
     m: int
@@ -51,9 +51,6 @@ class TotalOrderMatrix:
     @property
     def size(self) -> int:
         return self.n + self.m
-
-    def value(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
 
     @classmethod
     def from_sequence(cls, n: int, m: int, sequence) -> "TotalOrderMatrix":

@@ -16,7 +16,7 @@ import pytest
 
 import uavsched
 from uavsched.cli import main
-from uavsched import experiment, netgen, ordering
+from uavsched import errors, experiment, netgen, ordering
 from uavsched.experiment import CSV_COLUMNS, MAX_ITERATIONS, ExperimentConfig, read_csv
 from uavsched.model import DEFAULT_TIMINGS, Schedule, compute_energy, instance_from_parts, instance_to_json, timings_to_json
 from uavsched.netgen import MAX_FLOWS, MAX_UAVS, HoverParams, NetworkParams, RadioParams
@@ -540,6 +540,8 @@ class TestBadValueMessages:
             (sampled(line_network(2, 5.0), 1, 1), "fewer than two UAVs remain in service"),
             (["experiment", "--config", {"iterations": 1}], "iterations must be in [2, 100000], got 1"),
             (sampled(line_network(3, 5.0), 0, 0), "no flows and no retiring UAVs given"),
+            (["gen-instance", "--network", line_network(3, 5.0, retired=[], flows=[])],
+             "no flows and no retiring UAVs given"),
             (
                 ["export-ilp", "--instance", {"flows": [], "uavs": ONE_FLOW["uavs"]}],
                 "ordering model needs at least two elements, got n+m = 1",
@@ -548,7 +550,7 @@ class TestBadValueMessages:
         ids=[
             "negative-tau-in-instance", "negative-tau-flag", "flow-crosses-no-uav", "negative-rule-count",
             "route-ends-at-retiring-uav", "two-uavs-at-one-point", "too-sparse-to-route", "one-uav-in-service",
-            "one-iteration", "no-flows-no-retiring-uavs", "lp-of-one-element",
+            "one-iteration", "no-flows-no-retiring-uavs", "empty-scenario-file", "lp-of-one-element",
         ],
     )
     def test_exits_2_with_the_message(self, tmp_path, capsys, argv, message):
@@ -557,6 +559,27 @@ class TestBadValueMessages:
         destination = "--csv" if argv[0] == "experiment" else "--out"
         assert main([*args, destination, str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["gen-network", "--seed", "1", "--params"],
+            ["gen-instance", "--network"],
+            ["schedule", "--method", "heuristic", "--instance"],
+            ["export-ilp", "--instance"],
+            ["experiment", "--config"],
+        ],
+        ids=["gen-network", "gen-instance", "schedule", "export-ilp", "experiment"],
+    )
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, command):
+        # Python's JSON reader recurses once per level
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        out = tmp_path / "out"
+        destination = "--csv" if command[0] == "experiment" else "--out"
+        assert main([*command, str(deep), destination, str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
         assert not out.exists()
 
 
@@ -669,6 +692,18 @@ class TestExperimentAndPlot:
                   "methods": ["heuristic"], "csv_path": str(tmp_path / "out.csv")}
         assert main(["experiment", "--config", write_json(tmp_path / "cfg.json", config)]) == 0
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("svg", [False, True], ids=["csv-only", "with-energy-svg"])
+    def test_experiment_with_no_completed_cell_writes_nothing(self, tmp_path, capsys, svg):
+        # every instance keeps more than 2 of its 30 flows, so exact_dp skips every iteration
+        config = {"network": {"num_uavs": 20, "area_side": 140.0}, "n_flows_list": [30], "m_list": [3],
+                  "iterations": 2, "methods": ["exact_dp"], "exact_cap": 2, "csv_path": str(tmp_path / "out.csv")}
+        if svg:
+            config["svg_energy_path"] = str(tmp_path / "e.svg")
+        assert main(["experiment", "--config", write_json(tmp_path / "cfg.json", config)]) == 2
+        message = "no cell completed: none had 2 iterations within exact_cap = 2"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_experiment_without_destination_fails(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", DESK_CONFIG)
@@ -803,6 +838,39 @@ class TestAtomicWrites:
             main(["gen-network", "--seed", "1", "--out", str(out)])
         assert out.read_text() == "previous contents\n"
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_a_stale_temporary_file_neither_blocks_the_write_nor_is_removed(self, tmp_path):
+        # the name a run killed mid-write left behind before temporary names carried a random token
+        out = tmp_path / "out.txt"
+        stale = tmp_path / f".out.txt.{os.getpid()}.tmp"
+        stale.write_text("left by a killed run\n")
+        errors.write_text(out, "new contents\n", "text")
+        assert out.read_text() == "new contents\n"
+        assert stale.read_text() == "left by a killed run\n"
+        assert sorted(tmp_path.iterdir()) == sorted([out, stale])
+
+    def test_a_temporary_name_taken_by_another_writer_fails_and_is_left_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(errors.secrets, "token_hex", lambda nbytes: "feed")
+        other = tmp_path / f".out.txt.{os.getpid()}.feed.tmp"
+        other.write_text("another writer's text\n")
+        with pytest.raises(errors.IoFailure, match="File exists"):
+            errors.write_text(tmp_path / "out.txt", "new contents\n", "text")
+        assert other.read_text() == "another writer's text\n"
+        assert list(tmp_path.iterdir()) == [other]
+
+    def test_a_destination_name_of_255_bytes_is_written(self, tmp_path):
+        out = tmp_path / ("n" * 250 + ".json")
+        errors.write_text(out, "text\n", "text")
+        assert out.read_text() == "text\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_written_file_permissions_follow_the_umask(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            errors.write_text(tmp_path / "out.txt", "text\n", "text")
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "out.txt").stat().st_mode & 0o777 == 0o640
 
     def test_failed_flush_after_interruption_keeps_the_previous_csv(self, tmp_path, monkeypatch):
         from uavsched import experiment as exp_module

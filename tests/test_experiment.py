@@ -398,7 +398,46 @@ def test_criterion_5_sweep_matches_the_values_recorded_before_the_free_flow_kern
     )
 
 
+@pytest.mark.parametrize(
+    "resample,csv_sha256,digests_sha256",
+    [
+        (
+            False,
+            "567563a47dbc2a8d48e276c8dd3d262e1a5f11102bf2c7c1bedb809eec0c5baf",
+            "6191f41d2076eb549773c83b65afb81275e7e19ac0acc493e412a6e8c8c967eb",
+        ),
+        (
+            True,
+            "83598fd8cb262c21067245b48aed13aa8979a066172e9765095e5ea8bfff964c",
+            "f2398debd77da5294f3682dc087c8d8d9427c85e6729f9a1e1280edd4c69e893",
+        ),
+    ],
+    ids=["fixed-retiring-set", "resampled-retiring-sets"],
+)
+def test_m0_sweep_matches_the_values_recorded_before_its_pair_table(resample, csv_sha256, digests_sha256):
+    # recorded when an m = 0 cell drew without a pair table and passed every
+    # flow to build_instance; every method runs on its empty instances
+    config = desk_config(m_list=(0, 3), resample_retired_per_iteration=resample)
+    assert sweep_fingerprint(config) == (csv_sha256, digests_sha256)
+
+
 class TestCellMemo:
+    def test_a_cell_without_retiring_uavs_builds_from_no_flows(self, monkeypatch):
+        # its pair table drops every flow, as none crosses the empty retiring set
+        seen = []
+        build = experiment.build_instance
+
+        def recorded(routes, uavs, timings, cache):
+            seen.append((list(routes), uavs))
+            return build(routes, uavs, timings, cache=cache)
+
+        monkeypatch.setattr(experiment, "build_instance", recorded)
+        config = desk_config(m_list=(0,))
+        result = run_experiment(config)
+        assert seen == [([], ())] * config.iterations
+        assert {(c.count, c.mean) for c in result.cells} == {(config.iterations, 0.0)}
+        assert len(result.cells) == len(config.methods)
+
     @pytest.mark.parametrize("resample", [False, True], ids=["fixed-retiring-set", "resampled-retiring-sets"])
     def test_fragment_text_equals_the_plain_json_on_every_iteration(self, monkeypatch, resample):
         # the digest text joined from each flow's json_parts must be the

@@ -2,6 +2,7 @@
 
 import random
 import re
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from uavsched.model import (
     instance_to_json,
     rule_counts_from_route,
 )
+from uavsched import netgen
 from uavsched.netgen import NetworkParams, generate_network, sample_flow_routes, sample_retired_set
 
 from helpers import ROUTED_EXAMPLE_ROUTES, ROUTED_EXAMPLE_RETIRED, reference_instance, random_instance, sampling_exhausted
@@ -78,11 +80,12 @@ class TestRuleCountsFromRoute:
 
 class TestBuildInstance:
     def test_reference_network_keeps_four_of_six_flows(self):
-        build = build_instance(ROUTED_EXAMPLE_ROUTES, [(u, 100.0) for u in ROUTED_EXAMPLE_RETIRED])
+        # powers name the UAVs: UAV j of the instance is the j-th retiring id in ascending order
+        build = build_instance(ROUTED_EXAMPLE_ROUTES, [(u, 100.0 + u) for u in reversed(ROUTED_EXAMPLE_RETIRED)])
         inst = build.instance
         assert (inst.n, inst.m) == (4, 5)
         assert build.flow_ids == (0, 1, 2, 3)
-        assert build.uav_ids == (0, 1, 2, 3, 4)
+        assert inst.powers == (100.0, 101.0, 102.0, 103.0, 104.0)
         assert inst.times == (0.040, 0.030, 0.030, 0.030)
         assert [set(f.retired_set) for f in inst.flows] == [{0, 1, 2}, {0, 3}, {2, 3}, {3, 4}]
         assert [set(u.flow_set) for u in inst.uavs] == [{0, 1}, {0}, {0, 2}, {1, 2, 3}, {3}]
@@ -102,11 +105,17 @@ class TestBuildInstance:
         assert inst.flows[0].retired_set == frozenset({0})
         assert inst.uavs[0].flow_set == frozenset({0})
         assert build.flow_ids == (7,)
-        assert build.uav_ids == (3,)
+        assert inst.powers == (120.0,)
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="no flows and no retiring UAVs given"):
-            build_instance([], [])
+    def test_powers_follow_ascending_original_id(self):
+        build = build_instance([(0, (10, 3, 7, 11)), (1, (12, 9, 13))], [(9, 90.0), (3, 30.0), (7, 70.0)])
+        assert build.instance.powers == (30.0, 70.0, 90.0)
+        assert [sorted(f.retired_set) for f in build.instance.flows] == [[0, 1], [2]]
+
+    def test_empty_input_gives_the_empty_instance(self):
+        build = build_instance([], [])
+        assert build.instance == build_instance([(0, (5, 6, 7))], []).instance
+        assert (build.instance.n, build.instance.m, build.flow_ids) == (0, 0, ())
 
     def test_zero_retired_drops_everything(self):
         build = build_instance([(0, (5, 6, 7))], [])
@@ -167,7 +176,8 @@ class TestRouteCache:
         cache = {}
         for _ in range(5):
             try:
-                routes = sample_flow_routes(net, retired, rng.randint(1, 40), rng, max_attempts=50)
+                with patch.object(netgen, "MAX_ROUTE_ATTEMPTS", 50):
+                    routes = sample_flow_routes(net, retired, rng.randint(1, 40), rng)
             except ValueError as exc:
                 if not sampling_exhausted(exc):
                     raise

@@ -355,7 +355,7 @@ class TestCanonicalOrder:
         inst = instance_from_parts((0.02,), ({1},), (50.0, 60.0))
         x = schedule_to_canonical_order(inst, Schedule((0,)))
         # UAV 0 carries no flows: it precedes the flow, so no objective term fires for it
-        assert x.value(2, 1) == 1
+        assert x.rows[1][0] == 1  # x_21: UAV 0 (index 2) before flow 0 (index 1)
         assert ilp_objective(build_ilp(inst), x) == pytest.approx(0.02 * 60.0, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
