@@ -31,11 +31,9 @@ from .netgen import (
     shortest_route,
 )
 from .ordering import (
-    DependencyRelation,
     IlpModel,
     TotalOrderMatrix,
     build_ilp,
-    dependency_from_instance,
     ilp_objective,
     order_to_schedule,
     schedule_to_canonical_order,

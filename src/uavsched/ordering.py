@@ -5,7 +5,8 @@ Flows and retiring UAVs share one index set: flow i takes combined index i
 order on that set that contains every flow-before-its-UAV dependency pair;
 its cost counts T_i * P_j for every flow ordered before a UAV.  The module
 builds the binary model, renders it as LP text for external solvers,
-validates candidate orders, and converts between orders and schedules.
+validates candidate orders against it, and converts between orders and
+schedules.
 """
 
 from dataclasses import dataclass
@@ -17,20 +18,6 @@ from .model import ReplacementInstance, Schedule, ensure_valid_schedule
 # Largest n+m the LP is built for: its text grows as about 50 (n+m)^3 bytes,
 # about 400 MB here, and rendering it takes about twice that in memory
 LP_SIZE_CAP = 200
-
-
-@dataclass(frozen=True)
-class DependencyRelation:
-    """Flow-before-UAV precedence pairs over combined indices (bipartite)."""
-
-    n: int
-    m: int
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for i, j in self.pairs:
-            if not (1 <= i <= self.n < j <= self.n + self.m):
-                raise ValueError(f"dependency pair ({i},{j}) is not flow-before-UAV")
 
 
 @dataclass(frozen=True)
@@ -81,7 +68,9 @@ class IlpModel:
 
     Only the objective and the dependency fixings carry instance data; the
     comparability equalities and transitivity inequalities range over all
-    index pairs/triples, and ``lp_text`` writes them out.
+    index pairs/triples, and ``lp_text`` writes them out.  ``fixed`` is the
+    one dependency relation: the sorted flow-before-UAV pairs (i, j) whose
+    x_ij is fixed to 1, which ``validate_total_order`` checks too.
     """
 
     n: int
@@ -96,15 +85,6 @@ class IlpModel:
     @property
     def variable_count(self) -> int:
         return self.size * (self.size - 1)
-
-
-def dependency_from_instance(instance: ReplacementInstance) -> DependencyRelation:
-    """Every flow must precede each retiring UAV it crosses."""
-    n = instance.n
-    pairs = frozenset(
-        (i + 1, n + 1 + j) for i, flow in enumerate(instance.flows) for j in flow.retired_set
-    )
-    return DependencyRelation(n=n, m=instance.m, pairs=pairs)
 
 
 def build_ilp(instance: ReplacementInstance) -> IlpModel:
@@ -122,7 +102,10 @@ def build_ilp(instance: ReplacementInstance) -> IlpModel:
     objective = tuple(
         ((i + 1, n + 1 + j), times[i] * powers[j]) for i in range(n) for j in range(m)
     )
-    fixed = tuple(sorted(dependency_from_instance(instance).pairs))
+    # every flow precedes each retiring UAV it crosses
+    fixed = tuple(
+        sorted((i + 1, n + 1 + j) for i, flow in enumerate(instance.flows) for j in flow.retired_set)
+    )
     return IlpModel(n=n, m=m, objective=objective, fixed=fixed)
 
 
@@ -172,10 +155,11 @@ def lp_text(model: IlpModel) -> str:
     return "".join(blocks)
 
 
-def validate_total_order(x: TotalOrderMatrix, dependency: DependencyRelation) -> list[Violation]:
-    """Check all four strict-total-order properties; report every violation."""
-    if (x.n, x.m) != (dependency.n, dependency.m):
-        raise ValueError(f"matrix is for n={x.n}, m={x.m} but dependency is for n={dependency.n}, m={dependency.m}")
+def validate_total_order(x: TotalOrderMatrix, model: IlpModel) -> list[Violation]:
+    """Check x against the model: the three strict-total-order properties and
+    the dependency fixings. Report every violation."""
+    if (model.n, model.m) != (x.n, x.m):
+        raise ValueError(f"model is for n={model.n}, m={model.m} but matrix is for n={x.n}, m={x.m}")
     size = x.size
     rows = x.rows
     violations = []
@@ -195,7 +179,7 @@ def validate_total_order(x: TotalOrderMatrix, dependency: DependencyRelation) ->
                     continue
                 if rows[i][j] + rows[j][k] > 1 + rows[i][k]:
                     violations.append(Violation("transitivity", (i + 1, j + 1, k + 1)))
-    for i, j in sorted(dependency.pairs):
+    for i, j in model.fixed:
         if rows[i - 1][j - 1] != 1:
             violations.append(Violation("dependency", (i, j)))
     return violations

@@ -3,6 +3,7 @@ and the order/schedule conversions."""
 
 import random
 import re
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,9 @@ from hypothesis import strategies as st
 from uavsched.errors import write_text
 from uavsched.model import Schedule, compute_energy, instance_from_parts
 from uavsched.ordering import (
-    DependencyRelation,
     IlpModel,
     TotalOrderMatrix,
     build_ilp,
-    dependency_from_instance,
     ilp_objective,
     lp_text,
     order_to_schedule,
@@ -141,25 +140,20 @@ def random_model(n: int, m: int, seed: int) -> IlpModel:
 
 class TestDependency:
     def test_reference_instance_has_nine_pairs(self):
-        dep = dependency_from_instance(reference_instance())
-        assert len(dep.pairs) == 9
-        assert {(1, 5), (1, 6), (1, 7)} <= dep.pairs
+        fixed = build_ilp(reference_instance()).fixed
+        assert len(fixed) == 9
+        assert {(1, 5), (1, 6), (1, 7)} <= set(fixed)
 
     def test_singleton(self):
-        dep = dependency_from_instance(singleton_instance())
-        assert dep.pairs == frozenset({(1, 2)})
+        assert build_ilp(singleton_instance()).fixed == ((1, 2),)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_pair_count_equals_total_pinning(self, seed):
         inst = random_instance(random.Random(seed))
-        dep = dependency_from_instance(inst)
-        assert len(dep.pairs) == sum(len(f.retired_set) for f in inst.flows)
-        assert len(dep.pairs) == sum(len(u.flow_set) for u in inst.uavs)
-
-    def test_non_bipartite_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            DependencyRelation(n=2, m=2, pairs=frozenset({(3, 4)}))
+        fixed = build_ilp(inst).fixed
+        assert len(fixed) == sum(len(f.retired_set) for f in inst.flows)
+        assert len(fixed) == sum(len(u.flow_set) for u in inst.uavs)
 
 
 class TestBuildIlp:
@@ -240,6 +234,14 @@ class TestExportLp:
     def test_text_matches_the_row_by_row_renderer_where_index_widths_change(self, n, m):
         assert_same_text(random_model(n, m, seed=n + m))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_dependency_rows_are_the_sorted_crossings(self, seed):
+        inst = random_instance(random.Random(seed))
+        rows = re.findall(r"^ dep_(\d+)_(\d+): x_\1_\2 = 1$", lp_text(build_ilp(inst)), flags=re.M)
+        expected = sorted((i + 1, inst.n + 1 + j) for i, flow in enumerate(inst.flows) for j in flow.retired_set)
+        assert [(int(i), int(j)) for i, j in rows] == expected
+
     def test_byte_identical_across_exports(self, tmp_path):
         ilp = build_ilp(reference_instance())
         a, b = tmp_path / "a.lp", tmp_path / "b.lp"
@@ -252,41 +254,53 @@ class TestValidateTotalOrder:
     def test_reference_optimal_order_is_clean(self):
         inst = reference_instance()
         x = TotalOrderMatrix.from_sequence(4, 5, OPTIMAL_HIERARCHY)
-        assert validate_total_order(x, dependency_from_instance(inst)) == []
+        assert validate_total_order(x, build_ilp(inst)) == []
 
     def test_symmetric_pair_flagged(self):
         x = TotalOrderMatrix.from_sequence(1, 1, (1, 2))
         rows = [list(r) for r in x.rows]
         rows[1][0] = 1  # now x_12 = x_21 = 1
         bad = TotalOrderMatrix(n=1, m=1, rows=tuple(tuple(r) for r in rows))
-        families = {v.family for v in validate_total_order(bad, dependency_from_instance(singleton_instance()))}
+        families = {v.family for v in validate_total_order(bad, build_ilp(singleton_instance()))}
         assert "totality" in families
 
     def test_three_cycle_flagged_as_intransitive(self):
         # a<b, b<c, c<a: comparability holds pairwise but transitivity fails
         rows = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
         bad = TotalOrderMatrix(n=3, m=0, rows=rows)
-        dep = DependencyRelation(n=3, m=0, pairs=frozenset())
-        families = {v.family for v in validate_total_order(bad, dep)}
+        model = IlpModel(n=3, m=0, objective=(), fixed=())
+        families = {v.family for v in validate_total_order(bad, model)}
         assert families == {"transitivity"}
 
     def test_missing_dependency_flagged(self):
         inst = singleton_instance()
         x = TotalOrderMatrix.from_sequence(1, 1, (2, 1))  # UAV before its flow
-        violations = validate_total_order(x, dependency_from_instance(inst))
+        violations = validate_total_order(x, build_ilp(inst))
         assert [v.family for v in violations] == ["dependency"]
         assert violations[0].indices == (1, 2)
 
     def test_reflexive_entry_flagged(self):
         rows = ((1, 1), (0, 0))
         bad = TotalOrderMatrix(n=1, m=1, rows=rows)
-        families = {v.family for v in validate_total_order(bad, dependency_from_instance(singleton_instance()))}
+        families = {v.family for v in validate_total_order(bad, build_ilp(singleton_instance()))}
         assert "irreflexive" in families
 
     def test_dimension_mismatch(self):
         x = TotalOrderMatrix.from_sequence(1, 1, (1, 2))
-        with pytest.raises(ValueError, match="matrix is for n=1, m=1 but dependency is for n=4, m=5"):
-            validate_total_order(x, dependency_from_instance(reference_instance()))
+        with pytest.raises(ValueError, match="model is for n=4, m=5 but matrix is for n=1, m=1"):
+            validate_total_order(x, build_ilp(reference_instance()))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_clean_exactly_on_the_feasible_arrangements(self, seed):
+        inst = random_instance(random.Random(seed), max_n=3, max_m=3)
+        model = build_ilp(inst)
+        clean = {
+            seq
+            for seq in permutations(range(1, inst.n + inst.m + 1))
+            if validate_total_order(TotalOrderMatrix.from_sequence(inst.n, inst.m, seq), model) == []
+        }
+        assert clean == set(feasible_sequences(inst))
 
 
 class TestOrderToSchedule:
@@ -310,7 +324,7 @@ class TestOrderToSchedule:
     def test_reflexive_non_total_matrix_with_distinct_successor_counts_rejected(self):
         # successor counts 2, 1, 0 are a permutation, yet x_11 = 1 and 1, 2 and 2, 3 are incomparable
         x = TotalOrderMatrix(n=2, m=1, rows=((1, 1, 0), (0, 0, 1), (0, 0, 0)))
-        assert len(validate_total_order(x, DependencyRelation(n=2, m=1, pairs=frozenset()))) == 3
+        assert len(validate_total_order(x, IlpModel(n=2, m=1, objective=(), fixed=()))) == 3
         with pytest.raises(ValueError, match="index 1 breaks irreflexivity or totality; not a strict total order"):
             order_to_schedule(x)
 
@@ -339,7 +353,7 @@ class TestCanonicalOrder:
     def test_reference_schedule_reaches_the_optimum_objective(self):
         inst = reference_instance()
         x = schedule_to_canonical_order(inst, Schedule((3, 0, 2, 1)))
-        assert validate_total_order(x, dependency_from_instance(inst)) == []
+        assert validate_total_order(x, build_ilp(inst)) == []
         assert ilp_objective(build_ilp(inst), x) == pytest.approx(46.0, rel=1e-9)
 
     def test_singleton_objective(self):
@@ -423,7 +437,7 @@ class TestMilpSolver:
         """Solve the exported text; check that the solution is an order whose schedule reaches the optimum."""
         optimum, x = milp_optimum(lp_text(build_ilp(inst)))
         order = solution_order(inst.n, inst.m, x)
-        assert validate_total_order(order, dependency_from_instance(inst)) == []
+        assert validate_total_order(order, build_ilp(inst)) == []
         schedule, _ = order_to_schedule(order)
         assert compute_energy(inst, schedule).total_energy == pytest.approx(optimum, rel=1e-9)
         return optimum
