@@ -97,7 +97,7 @@ def cmd_schedule(args) -> int:
 def cmd_export_ilp(args) -> int:
     instance = model.instance_from_json(_load_json(args.instance))
     ilp = ordering.build_ilp(instance)
-    write_text(args.out, ordering.lp_text(ilp), "LP file")
+    write_text(args.out, ordering.lp_chunks(ilp), "LP file")
     print(f"wrote LP with {ilp.variable_count} binaries to {args.out}", file=sys.stderr)
     return 0
 

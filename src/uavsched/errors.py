@@ -6,6 +6,7 @@ kind: IoFailure (exit 3), InstanceTooLarge (exit 4; an experiment skips the
 iteration) and Unreachable (route sampling redraws the endpoint pair).
 """
 
+from collections.abc import Iterable
 from contextlib import contextmanager, suppress
 from dataclasses import fields, is_dataclass
 import os
@@ -106,10 +107,12 @@ def _json_value(value, kind, where: str):
     return json_scalar(value, kind, where)
 
 
-def write_text(destination, text: str, what: str) -> None:
+def write_text(destination, text: str | Iterable[str], what: str) -> None:
     """Write ``text`` to ``destination`` as ASCII, all at once or not at all.
 
-    The text goes to a temporary file in the destination's directory, which
+    ``text`` is a string or an iterable of string pieces, which are written
+    in order as they come, so the whole text is never held at once.  The
+    text goes to a temporary file in the destination's directory, which
     then replaces the destination, so an existing file is never left half
     written.  Its name holds the process id and a random token, so no file
     of another writer or of a killed run is touched, and at most 40
@@ -123,7 +126,7 @@ def write_text(destination, text: str, what: str) -> None:
     try:
         with open(temporary, "x", encoding="ascii") as handle:  # not mkstemp, whose files are 0600
             created = True
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(temporary, path)
     except BaseException as exc:
         if created:

@@ -9,14 +9,16 @@ validates candidate orders against it, and converts between orders and
 schedules.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InstanceTooLarge
 from .model import ReplacementInstance, Schedule, ensure_valid_schedule
 
-# Largest n+m the LP is built for: its text grows as about 50 (n+m)^3 bytes,
-# about 400 MB here, and rendering it takes about twice that in memory
+# Largest n+m the LP is built for: its file grows as about 50 (n+m)^3 bytes,
+# about 400 MB here.  It is rendered in pieces of O((n+m)^2) characters that
+# go to the file one at a time, so the cap bounds the file, not the memory
 LP_SIZE_CAP = 200
 
 
@@ -68,15 +70,28 @@ class IlpModel:
 
     Only the objective and the dependency fixings carry instance data; the
     comparability equalities and transitivity inequalities range over all
-    index pairs/triples, and ``lp_text`` writes them out.  ``fixed`` is the
+    index pairs/triples, and ``lp_chunks`` writes them out.  ``fixed`` is the
     one dependency relation: the sorted flow-before-UAV pairs (i, j) whose
-    x_ij is fixed to 1, which ``validate_total_order`` checks too.
+    x_ij is fixed to 1, which ``validate_total_order`` checks too.  Every
+    objective key and fixed pair must put a flow index (1..n) before a UAV
+    index (n+1..n+m), and ``fixed`` must be sorted without repeats; anything
+    else is a ValueError naming the pair.
     """
 
     n: int
     m: int
     objective: tuple[tuple[tuple[int, int], float], ...]
     fixed: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        n, size = self.n, self.n + self.m
+        for pair in (*(key for key, _ in self.objective), *self.fixed):
+            i, j = pair
+            if not (type(i) is int and type(j) is int and 1 <= i <= n < j <= size):
+                raise ValueError(f"pair {pair!r} is not a flow index in 1..{n} before a UAV index in {n + 1}..{size}")
+        for before, pair in zip(self.fixed, self.fixed[1:]):
+            if not before < pair:
+                raise ValueError(f"fixed pairs must be sorted and distinct, but {pair!r} follows {before!r}")
 
     @property
     def size(self) -> int:
@@ -114,8 +129,13 @@ def _template(rows: list[str]) -> tuple[str, list[int]]:
     return "".join(rows), [0, *accumulate(map(len, rows))]
 
 
-def lp_text(model: IlpModel) -> str:
+def lp_chunks(model: IlpModel) -> Iterator[str]:
     """Render the model in LP file format, rows in lexicographic index order.
+
+    Yields the text in pieces of O((n+m)^2) characters, in file order: the
+    objective, the dependency rows, the pair rows, the transitivity rows of
+    each leading index i, the binary section and ``End``.  A writer that
+    takes one piece at a time never holds the (n+m)^3-character whole.
 
     The pair, transitivity and binary rows are cut from templates that hold
     the placeholder ``\x01`` where the leading index i goes.  Transitivity
@@ -136,23 +156,25 @@ def lp_text(model: IlpModel) -> str:
         )
         for j in ks
     ]
-    blocks = ["Minimize\n obj:\n   ", "\n   + ".join(terms), "\nSubject To\n"]
-    blocks.append("".join([f" dep_{i}_{j}: x_{i}_{j} = 1\n" for i, j in model.fixed]))
-    blocks.extend(pair[pair_at[i] :].replace("\x01", names[i]) for i in range(1, size + 1))
+    yield "Minimize\n obj:\n   " + "\n   + ".join(terms) + "\nSubject To\n"
+    yield "".join([f" dep_{i}_{j}: x_{i}_{j} = 1\n" for i, j in model.fixed])
+    yield "".join([pair[pair_at[i] :].replace("\x01", names[i]) for i in range(1, size + 1)])
     for i in range(1, size + 1):
         parts = []
         for j, (text, at) in enumerate(tri, 1):
             if j != i:
                 parts.append(text[: at[i - 1]])
                 parts.append(text[at[i] :])
-        blocks.append("".join(parts).replace("\x01", names[i]))
-    blocks.append("Binary\n")
-    blocks.extend(
-        (binary[: binary_at[i - 1]] + binary[binary_at[i] :]).replace("\x01", names[i])
-        for i in range(1, size + 1)
+        yield "".join(parts).replace("\x01", names[i])
+    yield "Binary\n" + "".join(
+        [(binary[: binary_at[i - 1]] + binary[binary_at[i] :]).replace("\x01", names[i]) for i in range(1, size + 1)]
     )
-    blocks.append("End\n")
-    return "".join(blocks)
+    yield "End\n"
+
+
+def lp_text(model: IlpModel) -> str:
+    """The whole LP file of the model as one string: the join of ``lp_chunks``."""
+    return "".join(lp_chunks(model))
 
 
 def validate_total_order(x: TotalOrderMatrix, model: IlpModel) -> list[Violation]:

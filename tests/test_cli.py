@@ -603,7 +603,7 @@ class TestExportIlp:
     def test_size_cap_is_checked_before_the_text_is_rendered(self, tmp_path, capsys, monkeypatch, flows, code):
         # flows over one UAV, so n+m = flows + 1; the text is never rendered at this size
         rendered = []
-        monkeypatch.setattr(ordering, "lp_text", lambda model: rendered.append(model.size) or "stub\n")
+        monkeypatch.setattr(ordering, "lp_chunks", lambda model: rendered.append(model.size) or ["stub\n"])
         doc = {"flows": [{"id": i, "t_ms": 1.0, "delta": [0]} for i in range(flows)], "uavs": ONE_FLOW["uavs"]}
         out = tmp_path / "model.lp"
         assert main(["export-ilp", "--instance", write_json(tmp_path / "i.json", doc), "--out", str(out)]) == code
@@ -614,18 +614,46 @@ class TestExportIlp:
         else:
             assert rendered == [ordering.LP_SIZE_CAP]
 
-    def test_export_renders_through_the_module_level_lp_text(self, tmp_path, monkeypatch, reference_file):
+    def test_export_renders_through_the_module_level_lp_chunks(self, tmp_path, monkeypatch, reference_file):
         calls = []
 
         def recorded(model):
             calls.append(model)
-            return "stub\n"
+            return ["stub\n"]
 
-        monkeypatch.setattr(ordering, "lp_text", recorded)
+        monkeypatch.setattr(ordering, "lp_chunks", recorded)
         out = tmp_path / "stub.lp"
         assert main(["export-ilp", "--instance", reference_file, "--out", str(out)]) == 0
         assert [(model.n, model.m) for model in calls] == [(4, 5)]
         assert out.read_text() == "stub\n"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak from /proc/self/status")
+    def test_export_memory_stays_below_the_size_of_the_file(self, tmp_path):
+        # n+m = 120: the file is about 83 MB, and the pieces are written as they are rendered
+        doc = {
+            "flows": [{"id": i, "t_ms": 1.0, "delta": [i % 10]} for i in range(110)],
+            "uavs": [{"id": j, "p_watts": 20.0 + j} for j in range(10)],
+        }
+        out = tmp_path / "model.lp"
+        # the child reports the peak resident size of its own address space;
+        # its ru_maxrss would also count the pages of the test process that
+        # started it, which by then may exceed the file
+        child = (
+            "import re, sys\n"
+            "from uavsched.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(code, int(re.search(r'VmHWM:\\s+(\\d+) kB', status.read())[1]) * 1024)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(uavsched.__file__).resolve().parents[1])}
+        argv = ["export-ilp", "--instance", write_json(tmp_path / "i.json", doc), "--out", str(out)]
+        run = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=120)
+        code, peak = map(int, run.stdout.split())
+        size = out.stat().st_size
+        out.unlink()
+        assert code == 0, run.stderr
+        assert size > 80_000_000
+        assert peak < size
 
     def test_repeat_export_is_byte_identical(self, tmp_path, reference_file):
         a, b = tmp_path / "a.lp", tmp_path / "b.lp"
@@ -837,6 +865,22 @@ class TestAtomicWrites:
         with pytest.raises(KeyboardInterrupt):
             main(["gen-network", "--seed", "1", "--out", str(out)])
         assert out.read_text() == "previous contents\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_an_interrupted_piece_stream_keeps_the_previous_file(self, tmp_path):
+        out = tmp_path / "model.lp"
+        out.write_bytes(b"previous contents\n")
+        written = []
+
+        def pieces():
+            yield "x" * 100_000
+            written.extend(p.stat().st_size for p in tmp_path.iterdir() if p != out)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            errors.write_text(out, pieces(), "LP file")
+        assert written == [100_000]  # the first piece reached the temporary file before the second was asked for
+        assert out.read_bytes() == b"previous contents\n"
         assert list(tmp_path.iterdir()) == [out]
 
     def test_a_stale_temporary_file_neither_blocks_the_write_nor_is_removed(self, tmp_path):

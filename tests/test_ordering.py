@@ -16,6 +16,7 @@ from uavsched.ordering import (
     TotalOrderMatrix,
     build_ilp,
     ilp_objective,
+    lp_chunks,
     lp_text,
     order_to_schedule,
     schedule_to_canonical_order,
@@ -65,9 +66,20 @@ def seed_lp_text(model: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a transitivity row with three-digit indices is 57 characters, and one
+# piece holds the (n+m-1)(n+m-2) rows of one leading index
+PIECE_FACTOR = 60
+
+
 def assert_same_text(model: IlpModel):
-    """Compare lp_text with the oracle, naming the first differing row on failure."""
+    """Compare lp_text and the joined pieces of lp_chunks with the oracle,
+    naming the first differing row on failure; no piece may be longer
+    than PIECE_FACTOR (n+m)^2 characters."""
+    pieces = list(lp_chunks(model))
+    longest = max(map(len, pieces))
+    assert longest <= PIECE_FACTOR * model.size**2, f"a piece of {longest} characters at n+m = {model.size}"
     text, expected = lp_text(model), seed_lp_text(model)
+    assert "".join(pieces) == text
     if text != expected:
         rows, expected_rows = text.splitlines(), expected.splitlines()
         pairs = enumerate(zip(rows, expected_rows))
@@ -178,6 +190,33 @@ class TestBuildIlp:
         for key, coeff in base.items():
             assert bumped[key] == coeff * 4.0
         assert build_ilp(inst).fixed == build_ilp(scaled).fixed
+
+    @pytest.mark.parametrize(
+        "n, m, objective, fixed, message",
+        [
+            (1, 1, (), ((0, 2),), "pair (0, 2) is not a flow index in 1..1 before a UAV index in 2..2"),
+            (1, 1, (), ((1, 3),), "pair (1, 3) is not a flow index in 1..1 before a UAV index in 2..2"),
+            (1, 1, (((1, 5), 1.0),), (), "pair (1, 5) is not a flow index in 1..1 before a UAV index in 2..2"),
+            (1, 1, (((2, 1), 1.0),), (), "pair (2, 1) is not a flow index"),
+            (2, 1, (), ((1, 2),), "pair (1, 2) is not a flow index in 1..2 before a UAV index in 3..3"),
+            (1, 1, (((True, 2), 1.0),), (), "pair (True, 2) is not a flow index"),
+            (2, 2, (), ((2, 3), (1, 3)), "fixed pairs must be sorted and distinct, but (1, 3) follows (2, 3)"),
+            (2, 2, (), ((1, 3), (1, 3)), "fixed pairs must be sorted and distinct, but (1, 3) follows (1, 3)"),
+        ],
+        ids=[
+            "flow-index-0",
+            "uav-index-past-m",
+            "objective-key-past-m",
+            "uav-before-flow",
+            "flow-before-flow",
+            "bool-index",
+            "unsorted",
+            "repeated",
+        ],
+    )
+    def test_malformed_model_rejected(self, n, m, objective, fixed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            IlpModel(n=n, m=m, objective=objective, fixed=fixed)
 
     def test_empty_instance_rejected(self):
         with pytest.raises(ValueError, match="ordering model needs at least two elements, got n\\+m = 0"):
