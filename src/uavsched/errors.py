@@ -107,26 +107,30 @@ def _json_value(value, kind, where: str):
     return json_scalar(value, kind, where)
 
 
-def write_text(destination, text: str | Iterable[str], what: str) -> None:
+def write_text(destination, text: str | Iterable[bytes], what: str) -> None:
     """Write ``text`` to ``destination`` as ASCII, all at once or not at all.
 
-    ``text`` is a string or an iterable of string pieces, which are written
-    in order as they come, so the whole text is never held at once.  The
-    text goes to a temporary file in the destination's directory, which
-    then replaces the destination, so an existing file is never left half
-    written.  Its name holds the process id and a random token, so no file
-    of another writer or of a killed run is touched, and at most 40
-    characters of the destination's name, so it stays within the file
-    system's 255-byte limit.  An OSError becomes IoFailure; a temporary
-    file this call made is removed on any failure.
+    ``text`` is a string, encoded as ASCII once (a non-ASCII character is a
+    UnicodeEncodeError, a ValueError, raised before any file is made), or
+    an iterable of ASCII ``bytes`` pieces, which are written in order as
+    they come, so the whole text is never held at once.  Nothing is
+    translated: a line ends in ``\n`` on every platform.  The text goes to
+    a temporary file in the destination's directory, which then replaces
+    the destination, so an existing file is never left half written.  Its
+    name holds the process id and a random token, so no file of another
+    writer or of a killed run is touched, and at most 40 characters of the
+    destination's name, so it stays within the file system's 255-byte
+    limit.  An OSError becomes IoFailure; a temporary file this call made
+    is removed on any failure.
     """
+    pieces = [text.encode("ascii")] if isinstance(text, str) else text
     path = Path(destination)
     temporary = path.parent / f".{path.name[:40]}.{os.getpid()}.{secrets.token_hex(8)}.tmp"
     created = False
     try:
-        with open(temporary, "x", encoding="ascii") as handle:  # not mkstemp, whose files are 0600
+        with open(temporary, "xb") as handle:  # not mkstemp, whose files are 0600
             created = True
-            handle.writelines([text] if isinstance(text, str) else text)
+            handle.writelines(pieces)
         os.replace(temporary, path)
     except BaseException as exc:
         if created:

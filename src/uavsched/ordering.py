@@ -12,6 +12,7 @@ schedules.
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
+import math
 
 from .errors import InstanceTooLarge
 from .model import ReplacementInstance, Schedule, ensure_valid_schedule
@@ -74,8 +75,9 @@ class IlpModel:
     one dependency relation: the sorted flow-before-UAV pairs (i, j) whose
     x_ij is fixed to 1, which ``validate_total_order`` checks too.  Every
     objective key and fixed pair must put a flow index (1..n) before a UAV
-    index (n+1..n+m), and ``fixed`` must be sorted without repeats; anything
-    else is a ValueError naming the pair.
+    index (n+1..n+m), every objective coefficient must be finite (an LP
+    file has no infinite coefficient), and ``fixed`` must be sorted without
+    repeats; anything else is a ValueError naming the pair.
     """
 
     n: int
@@ -89,6 +91,9 @@ class IlpModel:
             i, j = pair
             if not (type(i) is int and type(j) is int and 1 <= i <= n < j <= size):
                 raise ValueError(f"pair {pair!r} is not a flow index in 1..{n} before a UAV index in {n + 1}..{size}")
+        for pair, coeff in self.objective:
+            if not math.isfinite(coeff):
+                raise ValueError(f"pair {pair!r} has objective coefficient {coeff!r}, which an LP file cannot hold")
         for before, pair in zip(self.fixed, self.fixed[1:]):
             if not before < pair:
                 raise ValueError(f"fixed pairs must be sorted and distinct, but {pair!r} follows {before!r}")
@@ -124,29 +129,33 @@ def build_ilp(instance: ReplacementInstance) -> IlpModel:
     return IlpModel(n=n, m=m, objective=objective, fixed=fixed)
 
 
-def _template(rows: list[str]) -> tuple[str, list[int]]:
-    """Join rows indexed 1..len(rows); row k spans text[offsets[k - 1]:offsets[k]]."""
-    return "".join(rows), [0, *accumulate(map(len, rows))]
+def _template(rows: list[str]) -> tuple[bytes, list[int]]:
+    """Join rows indexed 1..len(rows) and encode them as ASCII, one byte per
+    character; row k spans text[offsets[k - 1]:offsets[k]]."""
+    return "".join(rows).encode("ascii"), [0, *accumulate(map(len, rows))]
 
 
-def lp_chunks(model: IlpModel) -> Iterator[str]:
-    """Render the model in LP file format, rows in lexicographic index order.
+def lp_chunks(model: IlpModel) -> Iterator[bytes]:
+    """Render the model in LP file format as ASCII bytes, rows in
+    lexicographic index order.
 
-    Yields the text in pieces of O((n+m)^2) characters, in file order: the
+    Yields the file in pieces of O((n+m)^2) bytes, in file order: the
     objective, the dependency rows, the pair rows, the transitivity rows of
     each leading index i, the binary section and ``End``.  A writer that
-    takes one piece at a time never holds the (n+m)^3-character whole.
+    takes one piece at a time never holds the (n+m)^3-byte whole.
 
     The pair, transitivity and binary rows are cut from templates that hold
-    the placeholder ``\x01`` where the leading index i goes.  Transitivity
-    block (i, j) is the template of j over all k with its k = i row sliced
-    out; each i joins its blocks and writes i in with one ``str.replace``.
-    Python-level work is O((n+m)^2); the (n+m)^3 characters of the
-    transitivity rows come from C-level slicing, joining and replacing.
+    the placeholder ``\x01`` where the leading index i goes; each template
+    is formatted as text and encoded once.  Transitivity block (i, j) is
+    the template of j over all k with its k = i row sliced out; each i
+    joins its blocks and writes i in with one ``bytes.replace``.
+    Python-level work is O((n+m)^2); the (n+m)^3 bytes of the transitivity
+    rows come from C-level slicing, joining and replacing, with no text
+    decoded or encoded on that path.
     """
     size = model.size
-    names = [str(k) for k in range(size + 1)]
-    ks = names[1:]
+    names = [str(k).encode("ascii") for k in range(size + 1)]
+    ks = [str(k) for k in range(1, size + 1)]
     terms = [f"{coeff!r} x_{i}_{j}" for (i, j), coeff in model.objective] or ["0 x_1_2"]
     pair, pair_at = _template([f" pair_\x01_{k}: x_\x01_{k} + x_{k}_\x01 = 1\n" for k in ks])
     binary, binary_at = _template([f" x_\x01_{k}\n" for k in ks])
@@ -156,25 +165,28 @@ def lp_chunks(model: IlpModel) -> Iterator[str]:
         )
         for j in ks
     ]
-    yield "Minimize\n obj:\n   " + "\n   + ".join(terms) + "\nSubject To\n"
-    yield "".join([f" dep_{i}_{j}: x_{i}_{j} = 1\n" for i, j in model.fixed])
-    yield "".join([pair[pair_at[i] :].replace("\x01", names[i]) for i in range(1, size + 1)])
+    yield ("Minimize\n obj:\n   " + "\n   + ".join(terms) + "\nSubject To\n").encode("ascii")
+    yield "".join([f" dep_{i}_{j}: x_{i}_{j} = 1\n" for i, j in model.fixed]).encode("ascii")
+    yield b"".join([pair[pair_at[i] :].replace(b"\x01", names[i]) for i in range(1, size + 1)])
     for i in range(1, size + 1):
         parts = []
         for j, (text, at) in enumerate(tri, 1):
             if j != i:
                 parts.append(text[: at[i - 1]])
                 parts.append(text[at[i] :])
-        yield "".join(parts).replace("\x01", names[i])
-    yield "Binary\n" + "".join(
-        [(binary[: binary_at[i - 1]] + binary[binary_at[i] :]).replace("\x01", names[i]) for i in range(1, size + 1)]
+        yield b"".join(parts).replace(b"\x01", names[i])
+    yield b"Binary\n" + b"".join(
+        [(binary[: binary_at[i - 1]] + binary[binary_at[i] :]).replace(b"\x01", names[i]) for i in range(1, size + 1)]
     )
-    yield "End\n"
+    yield b"End\n"
 
 
 def lp_text(model: IlpModel) -> str:
-    """The whole LP file of the model as one string: the join of ``lp_chunks``."""
-    return "".join(lp_chunks(model))
+    """The whole LP file of the model as one string: the ASCII join of ``lp_chunks``.
+
+    It holds the (n+m)^3-character whole; ``export-ilp`` streams the pieces instead.
+    """
+    return b"".join(lp_chunks(model)).decode("ascii")
 
 
 def validate_total_order(x: TotalOrderMatrix, model: IlpModel) -> list[Violation]:

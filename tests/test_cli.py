@@ -603,7 +603,7 @@ class TestExportIlp:
     def test_size_cap_is_checked_before_the_text_is_rendered(self, tmp_path, capsys, monkeypatch, flows, code):
         # flows over one UAV, so n+m = flows + 1; the text is never rendered at this size
         rendered = []
-        monkeypatch.setattr(ordering, "lp_chunks", lambda model: rendered.append(model.size) or ["stub\n"])
+        monkeypatch.setattr(ordering, "lp_chunks", lambda model: rendered.append(model.size) or [b"stub\n"])
         doc = {"flows": [{"id": i, "t_ms": 1.0, "delta": [0]} for i in range(flows)], "uavs": ONE_FLOW["uavs"]}
         out = tmp_path / "model.lp"
         assert main(["export-ilp", "--instance", write_json(tmp_path / "i.json", doc), "--out", str(out)]) == code
@@ -614,18 +614,27 @@ class TestExportIlp:
         else:
             assert rendered == [ordering.LP_SIZE_CAP]
 
+    def test_an_overflowing_coefficient_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # T * P = 1e297 s * 1e300 W overflows to inf, which no LP file can hold
+        doc = {"flows": [{"id": 0, "t_ms": 1e300, "delta": [0]}], "uavs": [{"id": 0, "p_watts": 1e300}]}
+        inst = write_json(tmp_path / "overflow.json", doc)
+        out = tmp_path / "overflow.lp"
+        assert main(["export-ilp", "--instance", inst, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: pair (1, 2) has objective coefficient inf, which an LP file cannot hold\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["overflow.json"]
+
     def test_export_renders_through_the_module_level_lp_chunks(self, tmp_path, monkeypatch, reference_file):
         calls = []
 
         def recorded(model):
             calls.append(model)
-            return ["stub\n"]
+            return [b"stub\n"]
 
         monkeypatch.setattr(ordering, "lp_chunks", recorded)
         out = tmp_path / "stub.lp"
         assert main(["export-ilp", "--instance", reference_file, "--out", str(out)]) == 0
         assert [(model.n, model.m) for model in calls] == [(4, 5)]
-        assert out.read_text() == "stub\n"
+        assert out.read_bytes() == b"stub\n"
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak from /proc/self/status")
     def test_export_memory_stays_below_the_size_of_the_file(self, tmp_path):
@@ -873,7 +882,7 @@ class TestAtomicWrites:
         written = []
 
         def pieces():
-            yield "x" * 100_000
+            yield b"x" * 100_000
             written.extend(p.stat().st_size for p in tmp_path.iterdir() if p != out)
             raise KeyboardInterrupt
 
@@ -882,6 +891,26 @@ class TestAtomicWrites:
         assert written == [100_000]  # the first piece reached the temporary file before the second was asked for
         assert out.read_bytes() == b"previous contents\n"
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_a_non_ascii_string_raises_and_keeps_the_previous_file(self, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"previous contents\n")
+        with pytest.raises(UnicodeEncodeError):  # a ValueError, so the command line exits 2
+            errors.write_text(out, "caf\u00e9\n", "text")
+        assert out.read_bytes() == b"previous contents\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_a_stream_of_byte_pieces_writes_their_concatenation(self, tmp_path):
+        out = tmp_path / "out.txt"
+        pieces = [b"first\n", b"", b"second ", b"line\n" * 3]
+        errors.write_text(out, iter(pieces), "text")
+        assert out.read_bytes() == b"".join(pieces)
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_line_ends_are_written_unchanged(self, tmp_path):
+        out = tmp_path / "out.txt"
+        errors.write_text(out, "a\nb\r\n", "text")
+        assert out.read_bytes() == b"a\nb\r\n"
 
     def test_a_stale_temporary_file_neither_blocks_the_write_nor_is_removed(self, tmp_path):
         # the name a run killed mid-write left behind before temporary names carried a random token

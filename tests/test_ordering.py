@@ -1,6 +1,8 @@
 """Tests for the total-order formulation: model build, export, validation,
 and the order/schedule conversions."""
 
+import json
+import math
 import random
 import re
 from itertools import permutations
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavsched.cli import main
 from uavsched.errors import write_text
-from uavsched.model import Schedule, compute_energy, instance_from_parts
+from uavsched.model import Schedule, compute_energy, instance_from_json, instance_from_parts, instance_to_json
 from uavsched.ordering import (
     IlpModel,
     TotalOrderMatrix,
@@ -72,14 +75,15 @@ PIECE_FACTOR = 60
 
 
 def assert_same_text(model: IlpModel):
-    """Compare lp_text and the joined pieces of lp_chunks with the oracle,
-    naming the first differing row on failure; no piece may be longer
-    than PIECE_FACTOR (n+m)^2 characters."""
+    """Compare lp_text and the decoded join of the lp_chunks pieces, each of
+    them bytes, with the oracle, naming the first differing row on failure;
+    no piece may be longer than PIECE_FACTOR (n+m)^2 bytes."""
     pieces = list(lp_chunks(model))
+    assert all(type(piece) is bytes for piece in pieces), {type(piece) for piece in pieces}
     longest = max(map(len, pieces))
-    assert longest <= PIECE_FACTOR * model.size**2, f"a piece of {longest} characters at n+m = {model.size}"
+    assert longest <= PIECE_FACTOR * model.size**2, f"a piece of {longest} bytes at n+m = {model.size}"
     text, expected = lp_text(model), seed_lp_text(model)
-    assert "".join(pieces) == text
+    assert b"".join(pieces).decode("ascii") == text
     if text != expected:
         rows, expected_rows = text.splitlines(), expected.splitlines()
         pairs = enumerate(zip(rows, expected_rows))
@@ -139,15 +143,19 @@ def solution_order(n: int, m: int, x: dict[str, float]) -> TotalOrderMatrix:
     return TotalOrderMatrix(n=n, m=m, rows=rows)
 
 
-def random_model(n: int, m: int, seed: int) -> IlpModel:
-    """Model of an instance with paper-like times and powers, each flow crossing 1-3 UAVs."""
+def paper_like_instance(n: int, m: int, seed: int):
+    """An instance with paper-like times and powers, each flow crossing 1-3 UAVs."""
     rng = random.Random(seed)
-    inst = instance_from_parts(
+    return instance_from_parts(
         tuple(rng.uniform(0.005, 0.060) for _ in range(n)),
         tuple(frozenset(rng.sample(range(m), rng.randint(1, min(3, m)))) for _ in range(n)),
         tuple(rng.uniform(20.0, 310.0) for _ in range(m)),
     )
-    return build_ilp(inst)
+
+
+def random_model(n: int, m: int, seed: int) -> IlpModel:
+    """Model of a paper-like instance."""
+    return build_ilp(paper_like_instance(n, m, seed))
 
 
 class TestDependency:
@@ -202,6 +210,8 @@ class TestBuildIlp:
             (1, 1, (((True, 2), 1.0),), (), "pair (True, 2) is not a flow index"),
             (2, 2, (), ((2, 3), (1, 3)), "fixed pairs must be sorted and distinct, but (1, 3) follows (2, 3)"),
             (2, 2, (), ((1, 3), (1, 3)), "fixed pairs must be sorted and distinct, but (1, 3) follows (1, 3)"),
+            (1, 2, (((1, 2), 1.0), ((1, 3), math.inf)), (), "pair (1, 3) has objective coefficient inf"),
+            (1, 1, (((1, 2), math.nan),), (), "pair (1, 2) has objective coefficient nan"),
         ],
         ids=[
             "flow-index-0",
@@ -212,6 +222,8 @@ class TestBuildIlp:
             "bool-index",
             "unsorted",
             "repeated",
+            "infinite-coefficient",
+            "nan-coefficient",
         ],
     )
     def test_malformed_model_rejected(self, n, m, objective, fixed, message):
@@ -272,6 +284,14 @@ class TestExportLp:
     )
     def test_text_matches_the_row_by_row_renderer_where_index_widths_change(self, n, m):
         assert_same_text(random_model(n, m, seed=n + m))
+
+    def test_export_ilp_file_is_the_row_by_row_text_at_size_101(self, tmp_path):
+        doc = instance_to_json(paper_like_instance(92, 9, seed=101))
+        source = tmp_path / "instance.json"
+        source.write_text(json.dumps(doc))
+        out = tmp_path / "model.lp"
+        assert main(["export-ilp", "--instance", str(source), "--out", str(out)]) == 0
+        assert out.read_bytes() == seed_lp_text(build_ilp(instance_from_json(doc))).encode("ascii")
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
