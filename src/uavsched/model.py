@@ -152,7 +152,11 @@ class ReplacementInstance:
             if not (math.isfinite(power) and power >= 0):
                 raise ValueError(f"UAV {j}: hover_power must be non-negative, got {power!r}")
         timings = self.timings
+        checked = set()  # a FlowSpec is frozen and m and timings are fixed: each object is checked once
         for i, flow in enumerate(self.flows):
+            if id(flow) in checked:
+                continue
+            checked.add(id(flow))
             if not flow.retired_set:
                 raise ValueError(f"flow {i} crosses no retiring UAV and does not belong in an instance")
             for j in flow.retired_set:
@@ -280,6 +284,7 @@ class InstanceBuild:
 # build_instance keeps the retiring set and timings a cache was filled for
 # under this key
 _FILLED_FOR = object()
+_UNSEEN = object()  # cache.get's default: a route without an entry yet
 
 
 def _route_flow(fid, nodes: tuple, retired_ids: set, dense_of_uav: dict, timings: RuleTimings):
@@ -331,9 +336,8 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
             raise ValueError(f"duplicate flow id {fid!r}")
         seen_flow_ids.add(fid)
         nodes = tuple(route)
-        if nodes in cache:
-            spec = cache[nodes]
-        else:
+        spec = cache.get(nodes, _UNSEEN)
+        if spec is _UNSEEN:
             spec = _route_flow(fid, nodes, retired_ids, dense_of_uav, timings)
             if spec is not None:
                 spec = cache.setdefault(spec, spec)

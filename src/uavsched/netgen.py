@@ -290,7 +290,9 @@ def sample_flow_routes(net, retired, n_flows: int, rng: random.Random, table=Non
     k2 = (c - 1).bit_length()
     flows = []
     for fid in range(n_flows):
-        for _ in range(MAX_ROUTE_ATTEMPTS):
+        attempts = MAX_ROUTE_ATTEMPTS  # a countdown: no range iterator per flow
+        while attempts:
+            attempts -= 1
             a = getrandbits(k)
             while a >= c:
                 a = getrandbits(k)

@@ -57,11 +57,16 @@ def score_table(instance: ReplacementInstance) -> ScoreTable:
             total += times[i]
         h[j] = total
     powers = instance.powers
+    by_delta = {}  # one sum per delta object, keyed by id: a delta need not be hashable
     s = []
     for flow in instance.flows:
-        score = 0.0
-        for j in sorted(flow.retired_set):
-            score += powers[j] / h[j]
+        delta = flow.retired_set
+        score = by_delta.get(id(delta))
+        if score is None:
+            score = 0.0
+            for j in sorted(delta):
+                score += powers[j] / h[j]
+            by_delta[id(delta)] = score
         s.append(score)
     return ScoreTable(h=tuple(h), s=tuple(s))
 
@@ -71,7 +76,8 @@ def heuristic_schedule(instance: ReplacementInstance) -> SolverResult:
     start = time.perf_counter()
     table = score_table(instance)
     scores = table.s
-    order = sorted(range(instance.n), key=lambda i: (-scores[i], i))
+    # a stable sort stays stable under reverse=True, so ties keep ascending flow ids
+    order = sorted(range(instance.n), key=scores.__getitem__, reverse=True)
     wall = time.perf_counter() - start
     return _result(instance, order, "heuristic", wall)
 

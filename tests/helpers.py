@@ -12,6 +12,7 @@ from uavsched.model import (
     compute_energy,
     instance_from_parts,
 )
+from uavsched.sched import ScoreTable
 
 
 def sampling_exhausted(exc: ValueError) -> bool:
@@ -80,6 +81,28 @@ def feasible_sequences(instance):
         pos = {k: p for p, k in enumerate(seq)}
         if all(pos[a] < pos[b] for a, b in required):
             yield seq
+
+
+def heuristic_reference(instance):
+    """The heuristic as a plain loop: H_j summed over the flows crossing UAV j
+    in ascending id, each flow's score summed from 0.0 over its own sorted
+    UAV set, and the flows sorted by (-score, id).  The oracle for
+    ``score_table`` and ``heuristic_schedule``; returns (ScoreTable, order)."""
+    h = []
+    for j in range(instance.m):
+        total = 0.0
+        for flow in instance.flows:
+            if j in flow.retired_set:
+                total += flow.handover_time
+        h.append(total)
+    s = []
+    for flow in instance.flows:
+        score = 0.0
+        for j in sorted(flow.retired_set):
+            score += instance.powers[j] / h[j]
+        s.append(score)
+    order = tuple(sorted(range(instance.n), key=lambda i: (-s[i], i)))
+    return ScoreTable(h=tuple(h), s=tuple(s)), order
 
 
 def exact_dp_reference(instance):

@@ -13,7 +13,7 @@ import pytest
 
 import uavsched
 import uavsched.cli
-from uavsched import experiment, model
+from uavsched import experiment, model, sched
 from uavsched.errors import write_text
 from uavsched.experiment import (
     MAX_ITERATIONS,
@@ -28,6 +28,8 @@ from uavsched.experiment import (
 )
 from uavsched.netgen import MAX_FLOWS, NetworkParams
 from uavsched.sched import METHODS
+
+from helpers import heuristic_reference
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -353,6 +355,26 @@ class TestPaperScaleOptimum:
             assert found["exact"][0] == pytest.approx(found["exact_dp"][0], rel=1e-12)
         for found in outcomes:  # equal energies may differ in the last bit
             assert found["exact"][0] <= found["heuristic"][0] * (1 + 1e-12)
+
+    def test_heuristic_orders_of_a_paper_scale_cell_equal_the_plain_loop(self, monkeypatch):
+        # one cell of the paper sweep at its largest (n_f = 100, m = 10): the
+        # kept flows share FlowSpec objects and delta sets, and each
+        # iteration's heuristic order must be the plain per-flow loop's
+        heuristic = sched.heuristic_schedule
+        shared = []
+
+        def checked(instance):
+            result = heuristic(instance)
+            assert result.schedule.order == heuristic_reference(instance)[1]
+            shared.append(len(set(map(id, instance.flows))) < instance.n)
+            return result
+
+        monkeypatch.setattr(sched, "heuristic_schedule", checked)
+        config = script_config("full_sweep.json", n_flows_list=(100,), m_list=(10,))
+        assert config.iterations == 200
+        run_experiment(config)
+        assert len(shared) == 200
+        assert sum(shared) > 100
 
 
 class TestBenchmarkHooks:

@@ -1,5 +1,7 @@
 """Tests for the instance model, rule timing, and energy evaluation."""
 
+import dataclasses
+import math
 import random
 import re
 from unittest.mock import patch
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from uavsched.model import (
     DEFAULT_TIMINGS,
+    FlowSpec,
+    ReplacementInstance,
     RuleCounts,
     RuleTimings,
     Schedule,
@@ -258,6 +262,50 @@ class TestInstanceInvariants:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError, match="UAV 0: hover_power must be non-negative, got -1.0"):
             instance_from_parts((0.02,), ({0},), (-1.0,))
+
+    # each distinct FlowSpec object is checked once; these pin that a
+    # repeated object is still checked, and named at its first index
+
+    def test_a_repeated_bad_object_is_named_at_its_first_index(self):
+        good = FlowSpec(0.02, frozenset({0}))
+        bad = FlowSpec(0.02, frozenset({0, 5}))
+        with pytest.raises(ValueError, match=re.escape("flow 1 references unknown UAV ids [0, 5]")):
+            ReplacementInstance(flows=(good, bad, good, bad), powers=(10.0, 20.0))
+
+    def test_a_repeated_object_is_checked_against_the_instance_timings(self):
+        # valid under the default timings, 20 ms off under doubled ones
+        flow = FlowSpec(0.02, frozenset({0}), RuleCounts(1, 1, 1))
+        assert ReplacementInstance(flows=(flow, flow), powers=(10.0,)).n == 2
+        doubled = RuleTimings(0.010, 0.010, 0.020)
+        with pytest.raises(ValueError, match=re.escape("flow 0: handover_time 0.02 does not match its rule counts")):
+            ReplacementInstance(flows=(flow, flow), powers=(10.0,), timings=doubled)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pool=st.lists(
+            st.builds(
+                FlowSpec,
+                st.sampled_from((0.02, 0.04, 0.0, -0.01, math.inf)),
+                st.frozensets(st.integers(-1, 3), max_size=3),
+                st.one_of(st.none(), st.builds(RuleCounts, st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        picks=st.lists(st.integers(0, 3), max_size=10),
+        m=st.integers(0, 3),
+    )
+    def test_repeated_objects_build_as_fresh_copies_do(self, pool, picks, m):
+        # the same instance, or the same error message, either way
+        shared = tuple(pool[k % len(pool)] for k in picks)
+        fresh = tuple(dataclasses.replace(flow) for flow in shared)
+        outcomes = []
+        for flows in (shared, fresh):
+            try:
+                outcomes.append(ReplacementInstance(flows=flows, powers=(10.0,) * m))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestComputeEnergy:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from uavsched import sched
 from uavsched.errors import InstanceTooLarge
-from uavsched.model import build_instance, compute_energy, instance_from_parts
+from uavsched.model import FlowSpec, ReplacementInstance, build_instance, compute_energy, instance_from_parts
 from uavsched.netgen import NetworkParams, generate_network, sample_scenario
 from uavsched.sched import (
     EXACT_CAP_DEFAULT,
@@ -22,7 +22,14 @@ from uavsched.sched import (
     score_table,
 )
 
-from helpers import dyadic_time, exact_dp_reference, no_free_flow_tables, reference_instance, random_instance
+from helpers import (
+    dyadic_time,
+    exact_dp_reference,
+    heuristic_reference,
+    no_free_flow_tables,
+    reference_instance,
+    random_instance,
+)
 
 
 class TestScoreTable:
@@ -85,6 +92,54 @@ class TestHeuristic:
                 tuple(p * factor for p in inst.powers),
             )
             assert heuristic_schedule(scaled).schedule.order == base
+
+
+@st.composite
+def shared_flow_instances(draw):
+    """Instances whose flows share FlowSpec objects and delta sets, with tied scores and zero powers.
+
+    Two objects, each with its own copy of the set, are made per drawn
+    delta, so equal delta sets come from distinct objects; the first object
+    is placed twice, and the rest are drawn from the pool with repeats.  Times are dyadic and powers come
+    from three values, one of them 0.0 and placed at least once, so
+    scores tie across distinct delta sets too.
+    """
+    m = draw(st.integers(1, 5))
+    powers = [0.0] + draw(st.lists(st.sampled_from((0.0, 96.0, 160.0)), min_size=m - 1, max_size=m - 1))
+    powers = draw(st.permutations(powers))
+    deltas = draw(st.lists(st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=3))
+    times = st.sampled_from((8 / 1024, 16 / 1024, 24 / 1024))
+    pool = [FlowSpec(draw(times), frozenset(list(delta))) for delta in deltas for _ in range(2)]
+    flows = pool[:2] + pool[:1] + draw(st.lists(st.sampled_from(pool), max_size=20))
+    return ReplacementInstance(flows=tuple(draw(st.permutations(flows))), powers=tuple(powers))
+
+
+class TestHeuristicKernel:
+    """score_table sums once per distinct delta object and heuristic_schedule
+    sorts with reverse=True; both must equal the plain per-flow loop exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=shared_flow_instances())
+    # flows 1 and 2 cross different UAVs of equal power and drain time, so
+    # their scores are the same float; flow 0 scores 0.0
+    @example(inst=instance_from_parts((0.02, 0.02, 0.02), ({2}, {0}, {1}), (50.0, 50.0, 0.0)))
+    # a hand-built flow may hold its UAVs in a plain, unhashable set
+    @example(inst=ReplacementInstance(flows=(FlowSpec(0.02, {0, 1}), FlowSpec(0.03, {1})), powers=(10.0, 20.0)))
+    def test_scores_and_order_equal_the_plain_loop(self, inst):
+        table, order = heuristic_reference(inst)
+        assert score_table(inst) == table
+        assert heuristic_schedule(inst).schedule.order == order
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), zero_powers=st.booleans())
+    def test_random_instances_equal_the_plain_loop(self, seed, zero_powers):
+        rng = random.Random(seed)
+        inst = random_instance(rng, max_n=12, max_m=6, dyadic=rng.random() < 0.5)
+        if zero_powers:
+            inst = with_some_powers_zeroed(rng, inst)
+        table, order = heuristic_reference(inst)
+        assert score_table(inst) == table
+        assert heuristic_schedule(inst).schedule.order == order
 
 
 class TestRandomSchedule:
