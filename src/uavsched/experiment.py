@@ -133,8 +133,8 @@ class _CellMemo:
     ``table`` is the cell's PairTable, the empty retiring set's included:
     each endpoint pair is routed once, and only the flows that cross the
     retiring set reach build_instance (none when it is empty).  ``cache`` is
-    build_instance's route cache, which maps each route to its FlowSpec and
-    keeps one FlowSpec object per value, so each flow's JSON text
+    build_instance's route cache, which maps each crossing route to its
+    FlowSpec and keeps one FlowSpec object per value, so each flow's JSON text
     (FlowSpec.json_parts) is rendered once per cell.  ``uavs`` is the
     retiring set that every call passes and build_instance compares by
     value with the one the cache was filled for.  ``tail``, the text after

@@ -166,10 +166,8 @@ class ReplacementInstance:
             if not (math.isfinite(t) and t > 0):
                 raise ValueError(f"flow {i} needs a positive handover time, got {t!r}")
             counts = flow.rule_counts
-            if counts is not None:  # handover_time(counts, timings), in its operand order
-                expected = (
-                    counts.r_del * timings.tau_del + counts.r_ins * timings.tau_ins + counts.r_mod * timings.tau_mod
-                )
+            if counts is not None:
+                expected = handover_time(counts, timings)
                 if abs(t - expected) > 1e-9 * max(1.0, abs(expected)):
                     raise ValueError(
                         f"flow {i}: handover_time {t} does not match "
@@ -275,27 +273,14 @@ def compute_energy(instance: ReplacementInstance, schedule: Schedule) -> EnergyR
 
 @dataclass(frozen=True)
 class InstanceBuild:
-    """An instance plus the input ids of the flows it kept: flow i is input flow flow_ids[i]."""
+    """The instance build_instance derived from routed flows."""
 
     instance: ReplacementInstance
-    flow_ids: tuple[int, ...]
 
 
 # build_instance keeps the retiring set and timings a cache was filled for
 # under this key
 _FILLED_FOR = object()
-_UNSEEN = object()  # cache.get's default: a route without an entry yet
-
-
-def _route_flow(fid, nodes: tuple, retired_ids: set, dense_of_uav: dict, timings: RuleTimings):
-    """The flow a route derives to under a retiring set, or None when it misses the set."""
-    if len(nodes) < 2 or len(set(nodes)) != len(nodes):
-        raise ValueError(f"flow {fid}: route must contain at least two distinct nodes, got {list(nodes)!r}")
-    hit = retired_ids.intersection(nodes)
-    if not hit:
-        return None
-    counts = rule_counts_from_route(nodes, retired_ids)
-    return FlowSpec(handover_time(counts, timings), frozenset(dense_of_uav[u] for u in hit), counts)
 
 
 def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, cache=None) -> InstanceBuild:
@@ -304,18 +289,18 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
     ``flows`` is a sequence of (flow_id, route) pairs, ``retired_uavs`` a
     sequence of (uav_id, hover_power) pairs.  Flows that do not cross any
     retiring UAV are dropped; the kept flows are re-densified in input
-    order, with their input ids returned alongside, and UAV j is the j-th
-    retiring UAV in ascending id order.  With no retiring UAV the instance
-    is empty, also when no flow is given.
+    order, and UAV j is the j-th retiring UAV in ascending id order.  With
+    no retiring UAV the instance is empty, also when no flow is given.
 
     ``cache``, a dict the caller creates empty and passes to every call with
-    the same retiring set and timings, maps each route seen to its FlowSpec,
-    or to None when the route misses the retiring set.  A route is checked
-    once, when its entry is made.  Equal FlowSpecs are interned in the same
-    dict, so routes that derive equal flows, and every build that sees
-    them, share one FlowSpec object.  The cache remembers the retiring set
-    and timings it was filled for and compares every call's with them;
-    other ones raise ValueError.
+    the same retiring set and timings, maps each route that crosses the
+    retiring set to its FlowSpec; a route that misses it is never stored and
+    is checked on every sight.  A crossing route is checked once, when its
+    entry is made.  Equal FlowSpecs are interned in the same dict, so
+    routes that derive equal flows, and every build that sees them, share
+    one FlowSpec object.  The cache remembers the retiring set and timings
+    it was filled for and compares every call's with them; other ones raise
+    ValueError.
     """
     retired_uavs = sorted(retired_uavs, key=lambda item: item[0])
     uav_original = tuple(uid for uid, _ in retired_uavs)
@@ -328,26 +313,27 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
     if cache.setdefault(_FILLED_FOR, filled_for) != filled_for:
         raise ValueError("route cache was filled for another retiring set or other timings")
     dense_of_uav = {uid: j for j, uid in enumerate(uav_original)}
-    seen_flow_ids = set()
-    flow_ids = []
+    seen_fids = set()
     specs = []
     for fid, route in flows:
-        if fid in seen_flow_ids:
+        if fid in seen_fids:
             raise ValueError(f"duplicate flow id {fid!r}")
-        seen_flow_ids.add(fid)
+        seen_fids.add(fid)
         nodes = tuple(route)
-        spec = cache.get(nodes, _UNSEEN)
-        if spec is _UNSEEN:
-            spec = _route_flow(fid, nodes, retired_ids, dense_of_uav, timings)
-            if spec is not None:
-                spec = cache.setdefault(spec, spec)
-            cache[nodes] = spec
-        if spec is not None:
-            flow_ids.append(fid)
-            specs.append(spec)
+        spec = cache.get(nodes)
+        if spec is None:
+            if len(nodes) < 2 or len(set(nodes)) != len(nodes):
+                raise ValueError(f"flow {fid}: route must contain at least two distinct nodes, got {list(nodes)!r}")
+            hit = retired_ids.intersection(nodes)
+            if not hit:
+                continue
+            counts = rule_counts_from_route(nodes, retired_ids)
+            spec = FlowSpec(handover_time(counts, timings), frozenset(dense_of_uav[u] for u in hit), counts)
+            spec = cache[nodes] = cache.setdefault(spec, spec)
+        specs.append(spec)
     powers = tuple(power for _, power in retired_uavs)
     instance = ReplacementInstance(flows=tuple(specs), powers=powers, timings=timings)
-    return InstanceBuild(instance=instance, flow_ids=tuple(flow_ids))
+    return InstanceBuild(instance=instance)
 
 
 def flow_to_json(fid: int, flow: FlowSpec) -> dict:

@@ -40,8 +40,10 @@ class SolverResult:
     wall_time: float
 
 
-def _result(instance: ReplacementInstance, order, method: str, wall_time: float) -> SolverResult:
-    # energy is always the compute_energy re-evaluation of the schedule
+def _result(instance: ReplacementInstance, order, method: str, start: float) -> SolverResult:
+    # the solver's clock, started at ``start``, stops here; energy is always
+    # the compute_energy re-evaluation of the schedule
+    wall_time = time.perf_counter() - start
     schedule = Schedule(order=tuple(order))
     energy = compute_energy(instance, schedule).total_energy
     return SolverResult(schedule=schedule, energy=energy, method=method, wall_time=wall_time)
@@ -78,8 +80,7 @@ def heuristic_schedule(instance: ReplacementInstance) -> SolverResult:
     scores = table.s
     # a stable sort stays stable under reverse=True, so ties keep ascending flow ids
     order = sorted(range(instance.n), key=scores.__getitem__, reverse=True)
-    wall = time.perf_counter() - start
-    return _result(instance, order, "heuristic", wall)
+    return _result(instance, order, "heuristic", start)
 
 
 def random_schedule(instance: ReplacementInstance, seed: int) -> SolverResult:
@@ -88,8 +89,7 @@ def random_schedule(instance: ReplacementInstance, seed: int) -> SolverResult:
     rng = random.Random(seed)
     order = list(range(instance.n))
     rng.shuffle(order)
-    wall = time.perf_counter() - start
-    return _result(instance, order, "random", wall)
+    return _result(instance, order, "random", start)
 
 
 GENERAL = -1  # the ``required`` slot of a flow whose gain rule is a list of entries
@@ -100,13 +100,14 @@ def _gain_rules(instance: ReplacementInstance) -> list[tuple]:
 
     A UAV whose pin set contains f finishes with f once its other flows are
     all in the handed-over set ``state``.  Flow f's rule is ``(1 << f,
-    required, gain)`` of one of three kinds, each giving the very float the
+    required, gain)`` of one of two kinds, each giving the very float the
     entry-by-entry sum from 0.0 in ascending UAV id gives:
 
-    - constant: no other flow pins any of f's UAVs; ``required`` is 0 and
-      ``gain`` their powers summed once;
-    - single: f pins exactly one UAV, which other flows pin too; ``gain``
-      counts when ``state & required == required`` and is 0.0 otherwise;
+    - fixed: f pins one UAV, or no other flow pins any of f's UAVs;
+      ``required`` ORs the other flows pinning them (0 when there are
+      none), and ``gain``, their powers summed from 0.0 in ascending UAV
+      id, counts when ``state & required == required`` and is 0.0
+      otherwise;
     - general: ``required`` is GENERAL and ``gain`` the (power, required)
       entries, summed over the UAVs that complete.
     """
@@ -121,14 +122,13 @@ def _gain_rules(instance: ReplacementInstance) -> list[tuple]:
     for f, flow in enumerate(instance.flows):
         bit = 1 << f
         entries = tuple((powers[j], flow_masks[j] & ~bit) for j in sorted(flow.retired_set))
-        if not any(required for _, required in entries):
+        if len(entries) == 1 or not any(need for _, need in entries):
+            required = 0
             gain = 0.0
-            for power, _ in entries:
+            for power, need in entries:
+                required |= need
                 gain += power
-            rules.append((bit, 0, gain))
-        elif len(entries) == 1:
-            power, required = entries[0]
-            rules.append((bit, required, 0.0 + power))
+            rules.append((bit, required, gain))
         else:
             rules.append((bit, GENERAL, entries))
     return rules
@@ -140,7 +140,7 @@ def _free_flows(rules: list[tuple], low_bits: int) -> tuple[list, list]:
     Entry ``lo`` of the first lists the rules of the low flows whose bit is
     clear in ``lo``, entry ``hi`` of the second those of the high flows
     clear in ``hi << low_bits``; each entry splits them into
-    (constant and single rules, general rules).
+    (fixed rules, general rules).
     """
     tables = []
     for part, shift in ((rules[:low_bits], 0), (rules[low_bits:], low_bits)):
@@ -182,10 +182,10 @@ def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_
     lexicographically greatest is returned, deliberately opposite to the
     brute-force tie rule so that equivalence checks cannot pass by tie luck.
 
-    Each flow's gain is one of three kinds worked out once (``_gain_rules``:
-    constant, single UAV, general), and a step that completes no UAV costs
-    g of the successor alone.  States are visited high bits outside, low
-    bits inside, and each takes its free flows from two tables of 2^(n/2)
+    Each flow's gain is one of two kinds worked out once (``_gain_rules``:
+    fixed, general), and a step that completes no UAV costs g of the
+    successor alone.  States are visited high bits outside, low bits
+    inside, and each takes its free flows from two tables of 2^(n/2)
     entries (``_free_flows``), so a flow already handed over is never
     looked at.  Every g is the float the plain loop over all flows with an
     entry-by-entry gain gives: the same expressions on the same operands,
@@ -253,8 +253,7 @@ def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_
             raise RuntimeError(f"exact_dp walk-back: no free flow attains g at state {state:#x}")
         order.append(f)
         state |= rule[0]
-    wall = time.perf_counter() - start
-    return _result(instance, order, "exact_dp", wall)
+    return _result(instance, order, "exact_dp", start)
 
 
 def exact_schedule(instance: ReplacementInstance, cap: int = EXACT_CAP_DEFAULT) -> SolverResult:
@@ -316,8 +315,7 @@ def exact_schedule(instance: ReplacementInstance, cap: int = EXACT_CAP_DEFAULT) 
         state ^= 1 << last
     # each flow is handed over in the block of the first UAV it crosses
     order = list(dict.fromkeys(i for j in reversed(uav_order) for i in instance.flow_sets[j]))
-    wall = time.perf_counter() - start
-    return _result(instance, order, "exact_uav", wall)
+    return _result(instance, order, "exact_uav", start)
 
 
 def brute_force_schedule(instance: ReplacementInstance, max_flows: int = BRUTE_FORCE_CAP) -> SolverResult:
@@ -333,8 +331,7 @@ def brute_force_schedule(instance: ReplacementInstance, max_flows: int = BRUTE_F
         if energy < best_energy:
             best_energy = energy
             best_order = order
-    wall = time.perf_counter() - start
-    return _result(instance, best_order, "brute_force", wall)
+    return _result(instance, best_order, "brute_force", start)
 
 
 @dataclass(frozen=True)

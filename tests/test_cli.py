@@ -503,11 +503,15 @@ def sampled(network: dict, flows: int, retired: int) -> list:
     return ["gen-instance", "--network", network, "--flows", str(flows), "--retired", str(retired), "--seed", "1"]
 
 
+REPEATED_UAV_ID = line_network(3, 5.0)
+REPEATED_UAV_ID["uavs"][2]["id"] = 1
+
+
 class TestBadValueMessages:
     """Each kind of bad value the library reports, reached from the command line.
 
     A dict in ``argv`` is written to a file and replaced by its path.  The
-    stderr line is pinned byte for byte.
+    stderr line is pinned byte for byte, so no traceback is printed.
     """
 
     @pytest.mark.parametrize(
@@ -546,11 +550,29 @@ class TestBadValueMessages:
                 ["export-ilp", "--instance", {"flows": [], "uavs": ONE_FLOW["uavs"]}],
                 "ordering model needs at least two elements, got n+m = 1",
             ),
+            (["experiment", "--config", {"n_flows_list": []}], "n_flows_list and m_list must not be empty"),
+            (["schedule", "--instance", dict(ONE_FLOW, flows=[5]), "--method", "heuristic"], "flow #0 must be an object"),
+            (
+                ["schedule", "--instance", dict(ONE_FLOW, uavs=[{"id": 0}]), "--method", "heuristic"],
+                "uav #0 must be an object with 'p_watts'",
+            ),
+            (
+                ["gen-network", "--seed", "1", "--params", {"radio": {"snr_threshold_db": 0}}],
+                "snr_threshold_db must be positive, got 0.0",
+            ),
+            (["gen-network", "--seed", "1", "--params", {"mass_choices": []}], "mass_choices must not be empty"),
+            (sampled(REPEATED_UAV_ID, 1, 1), "UAV ids must be dense 0..num_uavs-1"),
+            (
+                ["gen-instance", "--network", line_network(3, 5.0, retired=[7], flows=[])],
+                "'retired' references unknown UAV ids",
+            ),
         ],
         ids=[
             "negative-tau-in-instance", "negative-tau-flag", "flow-crosses-no-uav", "negative-rule-count",
             "route-ends-at-retiring-uav", "two-uavs-at-one-point", "too-sparse-to-route", "one-uav-in-service",
             "one-iteration", "no-flows-no-retiring-uavs", "empty-scenario-file", "lp-of-one-element",
+            "empty-n-flows-list", "flow-not-an-object", "uav-without-p-watts", "zero-snr-threshold",
+            "no-mass-choices", "repeated-uav-id", "retired-names-an-unknown-uav",
         ],
     )
     def test_exits_2_with_the_message(self, tmp_path, capsys, argv, message):
@@ -750,6 +772,13 @@ class TestExperimentAndPlot:
         empty = tmp_path / "empty.csv"
         empty.write_text("m,n_f,method,k,mean_energy_j,se_j,ci_lo_j,ci_hi_j,mean_runtime_s\n")
         assert main(["plot", "--csv", str(empty), "--metric", "energy", "--out", str(tmp_path / "o.svg")]) == 2
+
+    def test_plot_missing_csv_gives_exit_3(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["plot", "--csv", str(missing), "--metric", "energy", "--out", str(tmp_path / "o.svg")]) == 3
+        message = f"could not read CSV {missing}: [Errno 2] No such file or directory: '{missing}'"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_interruption_flushes_partial_cells_marked_incomplete(self, tmp_path, monkeypatch):
         from uavsched import experiment as exp_module

@@ -88,7 +88,6 @@ class TestBuildInstance:
         build = build_instance(ROUTED_EXAMPLE_ROUTES, [(u, 100.0 + u) for u in reversed(ROUTED_EXAMPLE_RETIRED)])
         inst = build.instance
         assert (inst.n, inst.m) == (4, 5)
-        assert build.flow_ids == (0, 1, 2, 3)
         assert inst.powers == (100.0, 101.0, 102.0, 103.0, 104.0)
         assert inst.times == (0.040, 0.030, 0.030, 0.030)
         assert [set(f.retired_set) for f in inst.flows] == [{0, 1, 2}, {0, 3}, {2, 3}, {3, 4}]
@@ -108,7 +107,6 @@ class TestBuildInstance:
         assert (inst.n, inst.m) == (1, 1)
         assert inst.flows[0].retired_set == frozenset({0})
         assert inst.uavs[0].flow_set == frozenset({0})
-        assert build.flow_ids == (7,)
         assert inst.powers == (120.0,)
 
     def test_powers_follow_ascending_original_id(self):
@@ -119,7 +117,7 @@ class TestBuildInstance:
     def test_empty_input_gives_the_empty_instance(self):
         build = build_instance([], [])
         assert build.instance == build_instance([(0, (5, 6, 7))], []).instance
-        assert (build.instance.n, build.instance.m, build.flow_ids) == (0, 0, ())
+        assert (build.instance.n, build.instance.m) == (0, 0)
 
     def test_zero_retired_drops_everything(self):
         build = build_instance([(0, (5, 6, 7))], [])
@@ -247,7 +245,18 @@ class TestRouteCache:
         assert second.flows[0] is first.flows[1]
         assert second.flows[1] is first.flows[0]
         assert cache[(5, 1, 6)] is first.flows[0]
-        assert cache[(5, 6)] is None
+        assert (5, 6) not in cache
+
+    def test_a_route_that_misses_the_retiring_set_is_never_stored(self):
+        uavs = [(1, 10.0), (2, 20.0)]
+        cache = {}
+        # first sight and repeats in one call, then in a later call
+        assert build_instance([(0, (5, 6)), (1, (5, 1, 6)), (2, (5, 6)), (3, [5, 6])], uavs, cache=cache).instance.n == 1
+        assert build_instance([(0, (5, 6)), (1, (7, 8, 9)), (2, (7, 8, 9))], uavs, cache=cache).instance.n == 0
+        for _ in range(2):
+            with pytest.raises(ValueError, match="flow 1: route must contain at least two distinct nodes"):
+                build_instance([(0, (7, 8, 9)), (1, (7, 8, 7))], uavs, cache=cache)
+        assert [key for key in cache if isinstance(key, tuple)] == [(5, 1, 6)]
 
 
 class TestInstanceInvariants:

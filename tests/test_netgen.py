@@ -612,6 +612,18 @@ class TestNetworkJson:
         with pytest.raises(ValueError):
             scenario_from_json(doc)
 
+    @pytest.mark.parametrize("missing", ["retired", "flows"])
+    def test_scenario_without_retired_or_flows_rejected(self, missing):
+        doc = scenario_to_json(NetworkParams(num_uavs=2), grid_network(1, 2), [], [(0, (0, 1))])
+        del doc[missing]
+        with pytest.raises(ValueError, match="scenario JSON needs 'retired' and 'flows'"):
+            scenario_from_json(doc)
+
+    @pytest.mark.parametrize("positions,masses", [([(0.0, 0.0)], [1.0, 1.0]), ([(0.0, 0.0), (5.0, 0.0)], [1.0])])
+    def test_layout_of_the_wrong_length_rejected(self, positions, masses):
+        with pytest.raises(ValueError, match="positions and masses must match params.num_uavs"):
+            network_from_layout(NetworkParams(num_uavs=2), positions, masses)
+
     @pytest.mark.parametrize("route", [(0, 1, 999), (-1, 0, 1), (0, 2), (0, 1, 1)])
     def test_scenario_routes_off_the_network_rejected(self, route):
         net = grid_network(1, 3)  # 0-1 and 1-2 linked; 0 and 2 sit 60 m apart, unlinked

@@ -309,6 +309,13 @@ class TestExportLp:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestTotalOrderMatrix:
+    @pytest.mark.parametrize("sequence", [(1, 2), (1, 2, 2), (0, 1, 2), (1, 2, 4)])
+    def test_from_sequence_needs_a_permutation(self, sequence):
+        with pytest.raises(ValueError, match=re.escape(f"sequence must be a permutation of 1..3, got {sequence!r}")):
+            TotalOrderMatrix.from_sequence(2, 1, sequence)
+
+
 class TestValidateTotalOrder:
     def test_reference_optimal_order_is_clean(self):
         inst = reference_instance()
