@@ -1,13 +1,15 @@
 """Handover schedulers: score heuristic, random baseline, and exact solvers.
 
 The exact optimum is found with a subset dynamic program over whichever
-side is smaller.  Over flow sets: because handover times add up the same
-way in any order, the elapsed time after a set of flows is order-free, and
-a retiring UAV's cost is charged at the step that completes the last of its
-flows.  Over UAV sets: once the UAVs finish in a fixed order, handing each
-UAV's remaining flows over as one block just before it finishes is optimal.
-A brute-force permutation enumerator serves as an independent oracle at
-small sizes.  METHODS names every scheduler the CLI and experiments run.
+side is smaller, after dropping the UAVs no flow crosses where the instance
+does not fit otherwise.  Over flow sets: because handover times add up the
+same way in any order, the elapsed time after a set of flows is order-free,
+and a retiring UAV's cost is charged at the step that completes the last of
+its flows; the states are scored a block of 2^(n/2) at a time.  Over UAV
+sets: once the UAVs finish in a fixed order, handing each UAV's remaining
+flows over as one block just before it finishes is optimal.  A brute-force
+permutation enumerator serves as an independent oracle at small sizes.
+METHODS names every scheduler the CLI and experiments run.
 """
 
 from collections.abc import Callable
@@ -18,7 +20,7 @@ import random
 import time
 
 from .errors import InstanceTooLarge
-from .model import ReplacementInstance, Schedule, compute_energy, evaluate_order
+from .model import ReplacementInstance, Schedule, compute_energy, evaluate_order, instance_from_parts
 
 EXACT_CAP_DEFAULT = 22
 BRUTE_FORCE_CAP = 8
@@ -134,24 +136,73 @@ def _gain_rules(instance: ReplacementInstance) -> list[tuple]:
     return rules
 
 
-def _free_flows(rules: list[tuple], low_bits: int) -> tuple[list, list]:
-    """Free-flow tables for the low ``low_bits`` state bits and for the rest.
+# a DP keeps at most this many gain lists of 2^(n/2) floats (16 MB at n = 22)
+_GAIN_LISTS_KEPT = 256
 
-    Entry ``lo`` of the first lists the rules of the low flows whose bit is
-    clear in ``lo``, entry ``hi`` of the second those of the high flows
-    clear in ``hi << low_bits``; each entry splits them into
-    (fixed rules, general rules).
+
+def _blocks(rules: list[tuple], low_bits: int):
+    """The DP's blocks from the top down, each with its free flows and their gains.
+
+    Block ``base`` holds the states ``base | lo``, lo < 2^low_bits.  Yields
+    (base, high, table, rows): ``high`` pairs each high flow clear in
+    ``base`` with its gain list, and ``rows[f]`` is low flow f's gain list;
+    ``table[lo]``, the same in every block, holds the low flows clear in
+    ``lo`` as the successors ``lo | bit`` where they gain 0.0 in every
+    block and as (``lo | bit``, f) pairs where they may gain.
     """
-    tables = []
-    for part, shift in ((rules[:low_bits], 0), (rules[low_bits:], low_bits)):
-        table = []
-        for half in range(1 << len(part)):
-            free = [rule for rule in part if not (half << shift) & rule[0]]
-            table.append(
-                (tuple(r for r in free if r[1] != GENERAL), tuple(r for r in free if r[1] == GENERAL))
-            )
-        tables.append(table)
-    return tables[0], tables[1]
+    width = 1 << low_bits
+    kept = {}
+
+    def gains(f, met):
+        # f's gain at each state of a block whose high bits meet ``met`` (a
+        # bool for a fixed rule, one per entry for a general one); None when
+        # all are 0.0.  Each is the float the rule gives at that state
+        found = kept.get((f, met), kept)
+        if found is not kept:
+            return found
+        _, required, gain = rules[f]
+        found = None
+        if required != GENERAL:
+            if met and gain:
+                # doubling per low bit k: the upper half of each step has bit k set
+                found = [gain]
+                for k in range(low_bits):
+                    found = [0.0] * len(found) + found if required >> k & 1 else found + found
+        else:
+            entries = [(power, need & (width - 1)) for (power, need), ok in zip(gain, met) if ok]
+            sums = []
+            for lo in range(width):
+                total = 0.0
+                for power, need in entries:
+                    if lo & need == need:
+                        total += power
+                sums.append(total)
+            if any(sums):
+                found = sums
+        if len(kept) < _GAIN_LISTS_KEPT:
+            kept[f, met] = found
+        return found
+
+    # a low flow may gain at lo in some block if it gains there with all its requirements met
+    most = [
+        gains(f, tuple(True for _ in gain) if required == GENERAL else True)
+        for f, (_, required, gain) in enumerate(rules[:low_bits])
+    ]
+    table = [
+        (
+            [lo | 1 << f for f, gs in enumerate(most) if not lo >> f & 1 and not (gs and gs[lo])],
+            [(lo | 1 << f, f) for f, gs in enumerate(most) if not lo >> f & 1 and gs and gs[lo]],
+        )
+        for lo in range(width)
+    ]
+    for base in range((1 << len(rules)) - width, -1, -width):
+        top = base | (width - 1)
+        met = [
+            tuple(top | need == top for _, need in gain) if required == GENERAL else top | required == top
+            for _, required, gain in rules
+        ]
+        high = [(1 << f, gains(f, met[f])) for f in range(low_bits, len(rules)) if not base >> f & 1]
+        yield base, high, table, [gains(f, met[f]) for f in range(low_bits)]
 
 
 def _candidate(rule: tuple, state: int, elapsed: list[float], g: list[float]) -> float:
@@ -183,14 +234,20 @@ def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_
     brute-force tie rule so that equivalence checks cannot pass by tie luck.
 
     Each flow's gain is one of two kinds worked out once (``_gain_rules``:
-    fixed, general), and a step that completes no UAV costs g of the
-    successor alone.  States are visited high bits outside, low bits
-    inside, and each takes its free flows from two tables of 2^(n/2)
-    entries (``_free_flows``), so a flow already handed over is never
-    looked at.  Every g is the float the plain loop over all flows with an
+    fixed, general).  States are split into n//2 low bits and the rest, and
+    visited a block of 2^(n/2) states (one value of the high bits) at a
+    time, from the top down (``_blocks``).  Each high flow free in a block
+    is scored over the whole block in one pass over its successor block,
+    its gain at each state read from a list that holds 0.0 where nothing
+    completes.  The low flows are then scored state by state from one table
+    that lists, per low half, the free ones that gain nothing there in any
+    block apart from those that may, whose gain the block's list gives.
+    Every g is the float the plain loop over all flows with an
     entry-by-entry gain gives: the same expressions on the same operands,
-    and a min over non-NaN floats does not depend on the visiting order.
-    The walk-back reads the same rules.
+    ``elapsed * 0.0 + g`` equals g while the elapsed times are finite, and
+    a min over non-NaN floats does not depend on the visiting order.  The
+    walk-back reads the same rules.
+    ValueError when the handover times sum past the largest float.
     """
     n = instance.n
     if n > max_flows:
@@ -201,6 +258,7 @@ def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_
 
     size = 1 << n
     full = size - 1
+    inf = float("inf")
     # elapsed[S] = elapsed[S minus its lowest flow] + that flow's time, filled
     # one lowest flow f at a time from the highest down (stride 2^(f+1))
     elapsed = [0.0] * size
@@ -208,38 +266,54 @@ def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_
         t = times[f]
         elapsed[1 << f::2 << f] = [e + t for e in elapsed[::2 << f]]
 
+    if not elapsed[full] < inf:
+        raise ValueError(f"the flows' handover times sum to {elapsed[full]} s, past the largest float")
+
     low_bits = n // 2
-    free_lo, free_hi = _free_flows(rules, low_bits)
-    lo_top = (1 << low_bits) - 1
-    hi_top = full >> low_bits
-    inf = float("inf")
+    width = 1 << low_bits
+    low_mask = width - 1
     g = [0.0] * size
-    for hi in range(hi_top, -1, -1):
-        fixed_hi, general_hi = free_hi[hi]
-        base = hi << low_bits
-        # the full set has nothing left to hand over: g stays 0.0
-        for lo in range(lo_top - 1 if hi == hi_top else lo_top, -1, -1):
-            state = base | lo
-            fixed_lo, general_lo = free_lo[lo]
-            best = inf
-            for bit, required, gain in fixed_lo + fixed_hi:
-                succ = state | bit
-                if state & required == required:
-                    cand = elapsed[succ] * gain + g[succ]
+    for base, high, table, rows in _blocks(rules, low_bits):
+        # each free high flow's candidates over the whole block at once: its
+        # successor block starts at base | bit
+        block = None
+        for bit, gains in high:
+            s = base | bit
+            if gains is None:
+                if block is None:
+                    block = g[s:s + width]
                 else:
-                    cand = g[succ]
-                if cand < best:
-                    best = cand
-            for bit, _, entries in general_lo + general_hi:
-                succ = state | bit
-                gain = 0.0
-                for power, required in entries:
-                    if state & required == required:
-                        gain += power
-                cand = elapsed[succ] * gain + g[succ] if gain else g[succ]
-                if cand < best:
-                    best = cand
-            g[state] = best
+                    block = [x if x < y else y for x, y in zip(block, g[s:s + width])]
+            elif block is None:
+                block = [e * w + y for e, w, y in zip(elapsed[s:s + width], gains, g[s:s + width])]
+            else:
+                block = [
+                    x if x < (c := e * w + y) else c
+                    for x, e, w, y in zip(block, elapsed[s:s + width], gains, g[s:s + width])
+                ]
+        if block is None:
+            block = [inf] * width
+        # then the low flows state by state, from the top of the block down,
+        # each reading the block's g where its successor's is already final
+        top = low_mask
+        if base | low_mask == full:
+            block[top] = 0.0  # the full set has nothing left to hand over
+            top -= 1
+        spent = elapsed[base:base + width]
+        for lo in range(top, -1, -1):
+            value = block[lo]
+            plain, gaining = table[lo]
+            for succ in plain:
+                cand = block[succ]
+                if cand < value:
+                    value = cand
+            for succ, f in gaining:
+                gains = rows[f]
+                cand = block[succ] if gains is None else spent[succ] * gains[lo] + block[succ]
+                if cand < value:
+                    value = cand
+            block[lo] = value
+        g[base:base + width] = block
 
     order = []
     state = 0
@@ -267,9 +341,23 @@ def exact_schedule(instance: ReplacementInstance, cap: int = EXACT_CAP_DEFAULT) 
     Tie rule: working back from the full set, the lowest UAV id attaining
     the minimum finishes last; the flows are then handed over block by block
     in that UAV order, each block (the UAV's flows not yet handed over) in
-    ascending flow id.  InstanceTooLarge when min(n, m) exceeds ``cap``.
+    ascending flow id.  Where min(n, m) exceeds ``cap``, the UAVs that no
+    flow crosses are dropped first, which changes no energy, and the DP
+    that fits solves the rest under its own label; InstanceTooLarge when
+    none fits.  ValueError when the handover times sum past the largest float.
     """
     n, m = instance.n, instance.m
+    if min(n, m) > cap:
+        # a UAV no flow crosses completes at 0.0 and costs nothing: drop those
+        # where the instance does not fit otherwise (its flows keep their ids)
+        active = [j for j, members in enumerate(instance.flow_sets) if members]
+        if min(n, len(active)) <= cap:
+            start = time.perf_counter()
+            index = {j: k for k, j in enumerate(active)}
+            deltas = [[index[j] for j in flow.retired_set] for flow in instance.flows]
+            powers = [instance.powers[j] for j in active]
+            part = exact_schedule(instance_from_parts(instance.times, deltas, powers), cap)
+            return _result(instance, part.schedule.order, part.method, start)
     if n <= m:
         return exact_schedule_dp(instance, cap)
     if m > cap:
@@ -289,8 +377,10 @@ def exact_schedule(instance: ReplacementInstance, cap: int = EXACT_CAP_DEFAULT) 
         for base in range(half, size, 2 * half):
             inside[base:base + half] = map(add, inside[base:base + half], inside[base - half:base])
     total = inside[full]
-
     inf = float("inf")
+    if not total < inf:
+        raise ValueError(f"the flows' handover times sum to {total} s, past the largest float")
+
     best = [0.0] * size
     for state in range(1, size):
         t = total - inside[full ^ state]

@@ -9,9 +9,11 @@ from uavsched.model import (
     ReplacementInstance,
     RuleTimings,
     Schedule,
+    build_instance,
     compute_energy,
     instance_from_parts,
 )
+from uavsched.netgen import NetworkParams, generate_network, sample_scenario
 from uavsched.sched import ScoreTable
 
 
@@ -20,6 +22,17 @@ def sampling_exhausted(exc: ValueError) -> bool:
     return re.fullmatch(
         r"could not route flow \d+ after \d+ attempts; network too sparse|fewer than two UAVs remain in service", str(exc)
     ) is not None
+
+
+def sampled_instance(params: NetworkParams, network_seed: int, flows: int, m: int, seed: int) -> ReplacementInstance:
+    """The instance of ``flows`` sampled flows over m retiring UAVs of a generated network."""
+    net = generate_network(params, network_seed)
+    routes, retired = sample_scenario(net, flows, m, seed=seed)
+    return build_instance(routes, [(u, net.hover_powers[u]) for u in sorted(retired)]).instance
+
+
+# 23 flows over 26 retiring UAVs, of which 10 are crossed
+PAST_BOTH_CAPS = (NetworkParams(num_uavs=60, area_side=180.0), 3, 30, 26, 3)
 
 
 # Reference four-flow/five-UAV worked example: T in seconds, all hover
@@ -134,6 +147,8 @@ def exact_dp_reference(instance):
     for mask in range(1, size):
         low = mask & -mask
         elapsed[mask] = elapsed[mask ^ low] + times[low.bit_length() - 1]
+    if not elapsed[size - 1] < float("inf"):
+        raise ValueError(f"the flows' handover times sum to {elapsed[size - 1]} s, past the largest float")
 
     inf = float("inf")
     g = [0.0] * size
@@ -174,7 +189,9 @@ def exact_dp_reference(instance):
     return order, compute_energy(instance, Schedule(order=order)).total_energy
 
 
-def no_free_flow_tables(rules, low_bits):
-    """Stand-in for ``sched._free_flows`` whose tables list no flow at all: g
-    stays infinite below the full set, so the walk-back finds no step."""
-    return [((), ())] * 2**low_bits, [((), ())] * 2 ** (len(rules) - low_bits)
+def no_free_flows(rules, low_bits):
+    """Stand-in for ``sched._blocks`` whose blocks list no free flow at all:
+    g stays infinite below the full set, so the walk-back finds no step."""
+    width = 1 << low_bits
+    for base in range((1 << len(rules)) - width, -1, -width):
+        yield base, [], [([], [])] * width, []

@@ -22,7 +22,7 @@ from uavsched.model import DEFAULT_TIMINGS, Schedule, compute_energy, instance_f
 from uavsched.netgen import MAX_FLOWS, MAX_UAVS, HoverParams, NetworkParams, RadioParams
 from uavsched.sched import METHODS, exact_schedule_dp
 
-from helpers import dyadic_time, no_free_flow_tables, reference_instance
+from helpers import dyadic_time, no_free_flows, reference_instance
 
 
 def write_json(path, payload):
@@ -192,9 +192,20 @@ class TestSchedule:
 
     def test_an_exact_dp_walk_back_fault_is_not_reported_as_bad_input(self, tmp_path, reference_file, monkeypatch):
         # an internal fault, which must not end as exit 2 ("bad input")
-        monkeypatch.setattr(uavsched.sched, "_free_flows", no_free_flow_tables)
+        monkeypatch.setattr(uavsched.sched, "_blocks", no_free_flows)
         with pytest.raises(RuntimeError, match="walk-back"):
             main(["schedule", "--instance", reference_file, "--method", "exact_dp", "--out", str(tmp_path / "o.json")])
+
+    def test_exact_past_both_caps_drops_the_uavs_no_flow_crosses(self, tmp_path):
+        # 23 flows over 26 retiring UAVs, 10 of them crossed
+        net, inst, out = (str(tmp_path / name) for name in ("net.json", "inst.json", "opt.json"))
+        params = write_json(tmp_path / "params.json", {"num_uavs": 60, "area_side": 180.0})
+        assert main(["gen-network", "--params", params, "--seed", "3", "--out", net]) == 0
+        sample = ["--flows", "30", "--retired", "26", "--seed", "3"]
+        assert main(["gen-instance", "--network", net, *sample, "--out", inst]) == 0
+        assert main(["schedule", "--instance", inst, "--method", "exact", "--out", out]) == 0
+        doc = json.loads(Path(out).read_text())
+        assert (doc["method"], doc["energy_j"]) == ("exact_uav", 432.10086484975943)
 
     def test_malformed_instance_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -506,6 +517,12 @@ def sampled(network: dict, flows: int, retired: int) -> list:
 REPEATED_UAV_ID = line_network(3, 5.0)
 REPEATED_UAV_ID["uavs"][2]["id"] = 1
 
+# 3000 flows of 1e305 s each, over two UAVs: the total overflows to inf
+OVERFLOWING_TIMES = {
+    "flows": [{"id": i, "t_ms": 1e308, "delta": [[0], [0, 1], [1]][i % 3]} for i in range(3000)],
+    "uavs": [{"id": 0, "p_watts": 0.0}, {"id": 1, "p_watts": 5.0}],
+}
+
 
 class TestBadValueMessages:
     """Each kind of bad value the library reports, reached from the command line.
@@ -566,13 +583,17 @@ class TestBadValueMessages:
                 ["gen-instance", "--network", line_network(3, 5.0, retired=[7], flows=[])],
                 "'retired' references unknown UAV ids",
             ),
+            (
+                ["schedule", "--instance", OVERFLOWING_TIMES, "--method", "exact"],
+                "the flows' handover times sum to inf s, past the largest float",
+            ),
         ],
         ids=[
             "negative-tau-in-instance", "negative-tau-flag", "flow-crosses-no-uav", "negative-rule-count",
             "route-ends-at-retiring-uav", "two-uavs-at-one-point", "too-sparse-to-route", "one-uav-in-service",
             "one-iteration", "no-flows-no-retiring-uavs", "empty-scenario-file", "lp-of-one-element",
             "empty-n-flows-list", "flow-not-an-object", "uav-without-p-watts", "zero-snr-threshold",
-            "no-mass-choices", "repeated-uav-id", "retired-names-an-unknown-uav",
+            "no-mass-choices", "repeated-uav-id", "retired-names-an-unknown-uav", "handover-times-overflow",
         ],
     )
     def test_exits_2_with_the_message(self, tmp_path, capsys, argv, message):

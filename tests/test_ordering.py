@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from uavsched.cli import main
 from uavsched.errors import write_text
 from uavsched.model import Schedule, compute_energy, instance_from_json, instance_from_parts, instance_to_json
+from uavsched.netgen import NetworkParams
 from uavsched.ordering import (
     IlpModel,
     TotalOrderMatrix,
@@ -27,7 +28,7 @@ from uavsched.ordering import (
 )
 from uavsched.sched import exact_schedule, exact_schedule_dp
 
-from helpers import feasible_sequences, reference_instance, random_instance
+from helpers import PAST_BOTH_CAPS, feasible_sequences, reference_instance, random_instance, sampled_instance
 
 # the reference optimal hierarchy: F4, U5, F1, U2, F3, U3, F2, U4, U1
 OPTIMAL_HIERARCHY = (4, 9, 1, 6, 3, 7, 2, 8, 5)
@@ -93,13 +94,17 @@ def assert_same_text(model: IlpModel):
         pytest.fail(f"LP text differs at row {r}: {got!r} != {want!r}")
 
 
-def milp_optimum(text: str) -> tuple[float, dict[str, float]]:
+def milp_optimum(text: str, time_limit: float = 60.0) -> tuple[float, dict[str, float]]:
     """Solve LP text as written by lp_text with the HiGHS MILP solver.
 
-    Returns the optimum and the solution, each binary's value by name.
+    The constraint matrix is sparse (each row holds 1 to 4 terms), so it
+    fits at paper scale; a solve still running after ``time_limit``
+    seconds fails.  Returns the optimum and the solution, each binary's
+    value by name.
     """
     np = pytest.importorskip("numpy")
     optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
     head, rest = text.split("Subject To\n")
     rows, binaries = rest.split("Binary\n")
     names = binaries.split()
@@ -109,7 +114,7 @@ def milp_optimum(text: str) -> tuple[float, dict[str, float]]:
     for coeff, name in re.findall(r"(\S+) (x_\d+_\d+)", head.split(" obj:\n")[1]):
         cost[column[name]] += float(coeff)
     lines = rows.splitlines()
-    matrix = np.zeros((len(lines), len(names)))
+    row_ids, column_ids, signs = [], [], []  # one (row, column, +-1) triple per term
     lower, upper = np.empty(len(lines)), np.empty(len(lines))
     for r, line in enumerate(lines):
         lhs, sense, rhs = line.split(": ", 1)[1].rsplit(" ", 2)
@@ -118,16 +123,21 @@ def milp_optimum(text: str) -> tuple[float, dict[str, float]]:
             if token in ("+", "-"):
                 sign = -1.0 if token == "-" else 1.0
             else:
-                matrix[r, column[token]] += sign
+                row_ids.append(r)
+                column_ids.append(column[token])
+                signs.append(sign)
                 sign = 1.0
         assert sense in ("=", "<=")
         lower[r] = float(rhs) if sense == "=" else -np.inf
         upper[r] = float(rhs)
+    # a repeated (row, column) pair sums, as the terms of one row do
+    matrix = sparse.csr_array((signs, (row_ids, column_ids)), shape=(len(lines), len(names)))
     result = optimize.milp(
         cost,
         constraints=optimize.LinearConstraint(matrix, lower, upper),
         integrality=np.ones(len(names)),
         bounds=optimize.Bounds(0, 1),
+        options={"time_limit": time_limit},
     )
     assert result.success, result.message
     return result.fun, dict(zip(names, result.x))
@@ -516,6 +526,24 @@ class TestMilpSolver:
         for _ in range(10):
             inst = random_instance(rng, max_n=8)
             assert self.solve(inst) == pytest.approx(exact_schedule_dp(inst).energy, rel=1e-9)
+
+    @pytest.mark.parametrize("network_seed,m", [(1, 5), (1, 10), (2, 8), (4, 8), (5, 5)])
+    def test_paper_scale_instances_match_the_exact_solvers(self, network_seed, m):
+        # the paper-scale sweep's kind of instance: 100 sampled flows on a
+        # 40-UAV network, n+m from 11 to 29
+        params = NetworkParams(num_uavs=40, area_side=150.0)
+        inst = sampled_instance(params, network_seed, 100, m, 100 * network_seed + m)
+        optimum = self.solve(inst)
+        assert optimum == pytest.approx(exact_schedule(inst).energy, rel=1e-9)
+        if inst.n <= 16:
+            assert optimum == pytest.approx(exact_schedule_dp(inst).energy, rel=1e-9)
+
+    def test_an_instance_past_both_caps_matches_exact_schedule(self):
+        inst = sampled_instance(*PAST_BOTH_CAPS)
+        assert (inst.n, inst.m) == (23, 26)  # n+m = 49
+        result = exact_schedule(inst)
+        assert result.method == "exact_uav"
+        assert self.solve(inst) == pytest.approx(result.energy, rel=1e-9)
 
     def test_uav_side_instances_match_exact_schedule(self):
         rng = random.Random(9)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from uavsched import sched
 from uavsched.errors import InstanceTooLarge
-from uavsched.model import FlowSpec, ReplacementInstance, build_instance, compute_energy, instance_from_parts
-from uavsched.netgen import NetworkParams, generate_network, sample_scenario
+from uavsched.model import FlowSpec, ReplacementInstance, compute_energy, instance_from_parts
+from uavsched.netgen import NetworkParams
 from uavsched.sched import (
     EXACT_CAP_DEFAULT,
     GENERAL,
@@ -23,12 +23,14 @@ from uavsched.sched import (
 )
 
 from helpers import (
+    PAST_BOTH_CAPS,
     dyadic_time,
     exact_dp_reference,
     heuristic_reference,
-    no_free_flow_tables,
+    no_free_flows,
     reference_instance,
     random_instance,
+    sampled_instance,
 )
 
 
@@ -259,17 +261,42 @@ class TestExactDpKernel:
         inst = instance_from_parts((0.03125, 0.03125), ({0, 1, 2}, {3}), (0.1, 0.2, 0.3, 0.6))
         assert exact_schedule_dp(inst).schedule.order == (0, 1) == exact_dp_reference(inst)[0]
 
+    def test_gain_lists_past_the_kept_bound_are_worked_out_again(self, monkeypatch):
+        monkeypatch.setattr(sched, "_GAIN_LISTS_KEPT", 0)
+        for seed in range(20):
+            rng = random.Random(seed)
+            inst = crossing_instance(rng, rng.randint(1, 11), rng.randint(1, 9), dyadic=False)
+            result = exact_schedule_dp(inst)
+            assert (result.schedule.order, result.energy) == exact_dp_reference(inst)
+
+    def test_a_gain_that_depends_on_every_high_flow_against_the_plain_loop(self):
+        # low flow j and high flow j + 6 pin UAV j alone, and flow 0 also
+        # crosses every other UAV: each block meets a different set of rules
+        deltas = [{0, 1, 2, 3, 4, 5}] + [{j} for j in range(1, 6)] + [{j} for j in range(6)]
+        for seed in range(5):
+            rng = random.Random(seed)
+            times = tuple(rng.uniform(0.005, 0.060) for _ in deltas)
+            powers = tuple(rng.uniform(20.0, 310.0) for _ in range(6))
+            inst = instance_from_parts(times, deltas, powers)
+            result = exact_schedule_dp(inst)
+            assert (result.schedule.order, result.energy) == exact_dp_reference(inst)
+
+    def test_handover_times_summing_past_the_largest_float_are_a_bad_value(self):
+        # 3e308 s overflows to inf, and inf - inf or inf * 0.0 would be NaN
+        inst = instance_from_parts((1e308,) * 3, ({0}, {0, 1}, {1}), (0.0, 5.0))
+        for solve in (exact_schedule_dp, exact_schedule, exact_dp_reference):
+            with pytest.raises(ValueError, match="handover times sum to inf s"):
+                solve(inst)
+
     def test_a_walk_back_without_a_match_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(sched, "_free_flows", no_free_flow_tables)
+        monkeypatch.setattr(sched, "_blocks", no_free_flows)
         inst = instance_from_parts((0.02,), ({0},), (10.0,))
         with pytest.raises(RuntimeError, match="state 0x0"):
             exact_schedule_dp(inst)
 
 
 def netgen_instance(flows: int, seed: int):
-    net = generate_network(NetworkParams(), 1)
-    routes, retired = sample_scenario(net, flows, 6, seed)
-    return build_instance(routes, [(u, net.hover_powers[u]) for u in sorted(retired)]).instance
+    return sampled_instance(NetworkParams(), 1, flows, 6, seed)
 
 
 class TestExactDpPinned:
@@ -344,10 +371,45 @@ class TestExactSchedule:
         assert result.energy <= heuristic_schedule(inst).energy
 
     def test_cap_applies_only_when_both_sides_exceed_it(self):
+        # every UAV crossed, so none can be dropped
+        for n, m in ((EXACT_CAP_DEFAULT + 2, EXACT_CAP_DEFAULT + 1), (EXACT_CAP_DEFAULT + 1, EXACT_CAP_DEFAULT + 2)):
+            inst = instance_from_parts(
+                (0.03125,) * n, [{i % m} | {j for j in range(m) if j % n == i} for i in range(n)], (100.0,) * m
+            )
+            assert all(inst.flow_sets)
+            with pytest.raises(InstanceTooLarge):
+                exact_schedule(inst)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), pad=st.integers(1, 4), zero_powers=st.booleans())
+    def test_inactive_uavs_past_the_cap_change_no_energy(self, seed, pad, zero_powers):
+        # more flows than UAVs, with pad UAVs that no flow crosses spread among
+        # them: past the cap on both sides, the UAVs no flow crosses are dropped
+        rng = random.Random(seed)
+        inst = random_instance(rng, max_n=9, max_m=4, min_n=5)
+        if zero_powers:
+            inst = with_some_powers_zeroed(rng, inst)
+        m = inst.m
+        slots = sorted(rng.sample(range(m + pad), m))  # the new ids of the crossed UAVs
+        powers = [float(rng.randint(20, 310)) for _ in range(m + pad)]
+        for j, k in enumerate(slots):
+            powers[k] = inst.powers[j]
+        padded = instance_from_parts(inst.times, [{slots[j] for j in f.retired_set} for f in inst.flows], powers)
+        assert min(padded.n, padded.m) > m
+        result, reference = exact_schedule(padded, m), exact_schedule(inst, m)
+        assert result.method == reference.method == "exact_uav"
+        assert (result.schedule, result.energy) == (reference.schedule, reference.energy)
+        assert result.energy == compute_energy(padded, result.schedule).total_energy
+
+    def test_an_instance_past_the_cap_with_few_crossed_uavs_is_solved(self):
+        # the flow DP alone refuses it; HiGHS on the full ILP finds 432.1008648497594
+        inst = sampled_instance(*PAST_BOTH_CAPS)
+        assert (inst.n, inst.m, sum(map(bool, inst.flow_sets))) == (23, 26, 10)
         with pytest.raises(InstanceTooLarge):
-            exact_schedule(synthetic_big_instance(EXACT_CAP_DEFAULT + 2, EXACT_CAP_DEFAULT + 1, 4))
-        with pytest.raises(InstanceTooLarge):
-            exact_schedule(synthetic_big_instance(EXACT_CAP_DEFAULT + 1, EXACT_CAP_DEFAULT + 2, 5))
+            exact_schedule_dp(inst)
+        result = exact_schedule(inst)
+        assert (result.method, result.energy) == ("exact_uav", 432.10086484975943)
+        assert result.energy == compute_energy(inst, result.schedule).total_energy
 
     def test_uav_side_cost_does_not_grow_with_the_flow_count(self):
         # 20k flows on 16 UAVs: a DP that walked the flows once per UAV
