@@ -235,13 +235,16 @@ def ensure_valid_schedule(instance: ReplacementInstance, schedule: Schedule) -> 
 
 
 def _energy(instance: ReplacementInstance, order) -> tuple[list[float], list[float], float]:
-    """Flow finish times, per-UAV completion times, and total energy of a flow order."""
+    """Flow finish times, per-UAV completion times, and total energy of a flow
+    order.  ValueError when the handover times sum past the largest float."""
     times = instance.times
     finish = [0.0] * instance.n
     t = 0.0
     for f in order:
         t += times[f]
         finish[f] = t
+    if not t < math.inf:  # past it, a 0 W UAV would cost 0.0 * inf = NaN
+        raise ValueError(f"the flows' handover times sum to {t} s, past the largest float")
     completions = []
     total = 0.0
     for power, members in zip(instance.powers, instance.flow_sets):

@@ -6,13 +6,16 @@ order on that set that contains every flow-before-its-UAV dependency pair;
 its cost counts T_i * P_j for every flow ordered before a UAV.  The module
 builds the binary model, renders it as LP text for external solvers,
 validates candidate orders against it, and converts between orders and
-schedules.
+schedules.  The LP rows are cut from row templates kept for the process,
+so its Python-level work is O((n+m)^2) per model and each row is
+formatted once per process.
 """
 
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 import math
+from threading import Lock
 
 from .errors import InstanceTooLarge
 from .model import ReplacementInstance, Schedule, ensure_valid_schedule
@@ -129,10 +132,49 @@ def build_ilp(instance: ReplacementInstance) -> IlpModel:
     return IlpModel(n=n, m=m, objective=objective, fixed=fixed)
 
 
-def _template(rows: list[str]) -> tuple[bytes, list[int]]:
-    """Join rows indexed 1..len(rows) and encode them as ASCII, one byte per
+# The row templates of the largest n+m within LP_SIZE_CAP rendered in this
+# process: (size, pair, binary, tri), each template (text, offsets) over rows
+# k = 1..size, tri[j - 1] that of j.  Growing appends rows, so each row is
+# formatted once; one thread at a time grows it, and the grown tuple is
+# published by one assignment, so a reader never takes a half-grown store
+_store = (0, (b"", (0,)), (b"", (0,)), ())
+_growing = Lock()
+
+
+def _appended(template: tuple[bytes, tuple[int, ...]], rows: list[str]) -> tuple[bytes, tuple[int, ...]]:
+    """The template with rows appended, encoded as ASCII, one byte per
     character; row k spans text[offsets[k - 1]:offsets[k]]."""
-    return "".join(rows).encode("ascii"), [0, *accumulate(map(len, rows))]
+    text, at = template
+    return text + "".join(rows).encode("ascii"), (*at[:-1], *accumulate(map(len, rows), initial=at[-1]))
+
+
+def _tri_rows(j: int, ks: range) -> list[str]:
+    """The transitivity rows (i, j, k) of each k in ks, i a placeholder; the k = j row is empty."""
+    return [f" tri_\x01_{j}_{k}: x_\x01_{j} + x_{j}_{k} - x_\x01_{k} <= 1\n" if k != j else "" for k in ks]
+
+
+def _templates(size: int) -> tuple:
+    """The store, grown to hold n+m = size at least."""
+    global _store
+    if size <= _store[0]:
+        return _store
+    with _growing:
+        have, pair, binary, tri = store = _store
+        if size <= have:
+            return store
+        new = range(have + 1, size + 1)
+        store = (
+            size,
+            _appended(pair, [f" pair_\x01_{k}: x_\x01_{k} + x_{k}_\x01 = 1\n" for k in new]),
+            _appended(binary, [f" x_\x01_{k}\n" for k in new]),
+            (
+                *[_appended(template, _tri_rows(j, new)) for j, template in enumerate(tri, 1)],
+                *[_appended((b"", (0,)), _tri_rows(j, range(1, size + 1))) for j in new],
+            ),
+        )
+        if size <= LP_SIZE_CAP:
+            _store = store
+        return store
 
 
 def lp_chunks(model: IlpModel) -> Iterator[bytes]:
@@ -144,29 +186,23 @@ def lp_chunks(model: IlpModel) -> Iterator[bytes]:
     each leading index i, the binary section and ``End``.  A writer that
     takes one piece at a time never holds the (n+m)^3-byte whole.
 
-    The pair, transitivity and binary rows are cut from templates that hold
-    the placeholder ``\x01`` where the leading index i goes; each template
-    is formatted as text and encoded once.  Transitivity block (i, j) is
-    the template of j over all k with its k = i row sliced out; each i
-    joins its blocks and writes i in with one ``bytes.replace``.
-    Python-level work is O((n+m)^2); the (n+m)^3 bytes of the transitivity
-    rows come from C-level slicing, joining and replacing, with no text
-    decoded or encoded on that path.
+    The pair, transitivity and binary rows are cut from the process's
+    templates, which hold the placeholder ``\x01`` where the leading index
+    i goes and are read up to row n+m.  Transitivity block (i, j) is the
+    template of j with its k = i row left out, as two ``memoryview``
+    slices; each i joins its blocks and writes i in with one
+    ``bytes.replace``.  Python-level work per model is O((n+m)^2), row
+    formatting is paid once per process, and the (n+m)^3 bytes are copied
+    by the join and the replace alone, with no text decoded or encoded.
     """
     size = model.size
+    _, (pair, pair_at), (binary, binary_at), tri = _templates(size)
     names = [str(k).encode("ascii") for k in range(size + 1)]
-    ks = [str(k) for k in range(1, size + 1)]
     terms = [f"{coeff!r} x_{i}_{j}" for (i, j), coeff in model.objective] or ["0 x_1_2"]
-    pair, pair_at = _template([f" pair_\x01_{k}: x_\x01_{k} + x_{k}_\x01 = 1\n" for k in ks])
-    binary, binary_at = _template([f" x_\x01_{k}\n" for k in ks])
-    tri = [
-        _template(
-            [f" tri_\x01_{j}_{k}: x_\x01_{j} + x_{j}_{k} - x_\x01_{k} <= 1\n" if k != j else "" for k in ks]
-        )
-        for j in ks
-    ]
+    tri = [(memoryview(text)[: at[size]], at) for text, at in tri[:size]]
     yield ("Minimize\n obj:\n   " + "\n   + ".join(terms) + "\nSubject To\n").encode("ascii")
     yield "".join([f" dep_{i}_{j}: x_{i}_{j} = 1\n" for i, j in model.fixed]).encode("ascii")
+    pair, binary = pair[: pair_at[size]], binary[: binary_at[size]]
     yield b"".join([pair[pair_at[i] :].replace(b"\x01", names[i]) for i in range(1, size + 1)])
     for i in range(1, size + 1):
         parts = []

@@ -425,6 +425,16 @@ class TestMalformedFields:
         assert capsys.readouterr().err.startswith("error: experiment config")
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("method", ["heuristic", "random"])
+    def test_schedule_of_handover_times_summing_past_the_largest_float(self, tmp_path, capsys, method):
+        # the 0 W UAV would cost 0.0 * inf = NaN, which JSON cannot hold either
+        inst = write_json(tmp_path / "inst.json", OVERFLOWING_TIMES)
+        out = tmp_path / "o.json"
+        assert main(["schedule", "--instance", inst, "--method", method, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: the flows' handover times sum to inf s, past the largest float\n"
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp")) and not list(tmp_path.glob(".*.tmp"))
+
     def test_schedule_energy_too_large_for_json(self, tmp_path, capsys):
         # each handover time is finite, but the energy overflows to inf, which JSON cannot hold
         doc = {

@@ -3,14 +3,22 @@ and the order/schedule conversions."""
 
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+import threading
+from contextlib import contextmanager
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uavsched
+from uavsched import ordering
 from uavsched.cli import main
 from uavsched.errors import write_text
 from uavsched.model import Schedule, compute_energy, instance_from_json, instance_from_parts, instance_to_json
@@ -317,6 +325,112 @@ class TestExportLp:
         write_text(a, lp_text(ilp), "LP file")
         write_text(b, lp_text(ilp), "LP file")
         assert a.read_bytes() == b.read_bytes()
+
+
+EMPTY_STORE = (0, (b"", (0,)), (b"", (0,)), ())
+
+
+@contextmanager
+def empty_store():
+    """Run the body from an empty template store, as a fresh process would,
+    and put the process's store back afterwards."""
+    kept = ordering._store
+    ordering._store = EMPTY_STORE
+    try:
+        yield
+    finally:
+        ordering._store = kept
+
+
+def model_of_size(size: int) -> IlpModel:
+    """A paper-like model of n+m = size, with m = 1 to 9 UAVs."""
+    m = min(9, size - 1)
+    return random_model(size - m, m, seed=size)
+
+
+def assert_store_holds(size: int):
+    """The store holds exactly the row templates of n+m = size."""
+    held, (pair, pair_at), (binary, binary_at), tri = ordering._store
+    assert held == size
+    assert len(pair_at) == len(binary_at) == size + 1 and len(tri) == size
+    assert (len(pair), len(binary)) == (pair_at[-1], binary_at[-1])
+    assert all(len(text) == at[-1] and len(at) == size + 1 for text, at in tri)
+    assert binary.endswith(f" x_\x01_{size}\n".encode("ascii"))
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """The k of every transitivity row the store formats from now on."""
+    rows = []
+    tri_rows = ordering._tri_rows
+    monkeypatch.setattr(ordering, "_tri_rows", lambda j, ks: rows.extend(ks) or tri_rows(j, ks))
+    return rows
+
+
+class TestTemplateStore:
+    """The process-wide row templates of ``lp_chunks``: grown, never
+    reformatted, and read by each model only up to its own size."""
+
+    def test_sizes_that_shrink_and_grow_across_digit_widths_match_the_oracle(self):
+        sizes = (14, 3, 101, 9, 10, 99, 100, 2)
+        with empty_store():
+            for size in sizes:
+                assert_same_text(model_of_size(size))
+            assert_store_holds(max(sizes))
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(2, 14), min_size=1, max_size=6))
+    def test_random_size_sequences_match_the_oracle(self, sizes):
+        with empty_store():
+            for size in sizes:
+                assert_same_text(model_of_size(size))
+            assert_store_holds(max(sizes))
+
+    def test_growing_formats_only_the_new_rows(self, formatted):
+        with empty_store():
+            lp_text(model_of_size(10))
+            assert len(formatted) == 10**2
+            lp_text(model_of_size(20))
+            lp_text(model_of_size(10))
+            lp_text(model_of_size(20))
+            assert len(formatted) == 20**2
+
+    def test_importing_the_package_formats_no_template(self):
+        child = "import uavsched, uavsched.cli; from uavsched.ordering import _store; print(_store)"
+        env = {**os.environ, "PYTHONPATH": str(Path(uavsched.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60)
+        assert run.stdout == f"{EMPTY_STORE}\n", run.stderr
+
+    def test_threads_rendering_different_sizes_at_once_each_get_their_text(self, formatted):
+        # more threads than cores, switching often: a store grown by two
+        # threads at once would format some rows twice or lose the larger one
+        sizes = (23, 47, 9, 68, 31, 60)
+        expected = {size: seed_lp_text(model_of_size(size)) for size in sizes}
+        texts = {}
+
+        def render(size, start):
+            start.wait(timeout=60)
+            texts[size] = lp_text(model_of_size(size))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                formatted.clear()
+                texts.clear()
+                start = threading.Barrier(len(sizes))
+                with empty_store():
+                    threads = [threading.Thread(target=render, args=(size, start)) for size in sizes]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=120)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert_store_holds(max(sizes))
+                assert len(formatted) == max(sizes) ** 2
+                assert texts == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTotalOrderMatrix:

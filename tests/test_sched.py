@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from uavsched import sched
 from uavsched.errors import InstanceTooLarge
-from uavsched.model import FlowSpec, ReplacementInstance, compute_energy, instance_from_parts
+from uavsched.model import FlowSpec, ReplacementInstance, Schedule, compute_energy, evaluate_order, instance_from_parts
 from uavsched.netgen import NetworkParams
 from uavsched.sched import (
     EXACT_CAP_DEFAULT,
@@ -287,6 +287,20 @@ class TestExactDpKernel:
         for solve in (exact_schedule_dp, exact_schedule, exact_dp_reference):
             with pytest.raises(ValueError, match="handover times sum to inf s"):
                 solve(inst)
+
+    def test_every_energy_evaluation_refuses_handover_times_summing_past_the_largest_float(self):
+        # the 0 W UAV would cost 0.0 * inf = NaN, and the total would be NaN or inf
+        inst = instance_from_parts((1e308,) * 3, ({0}, {0, 1}, {1}), (0.0, 5.0))
+        evaluations = (
+            lambda: compute_energy(inst, Schedule(order=(0, 1, 2))),
+            lambda: evaluate_order(inst, (2, 1, 0)),
+            lambda: heuristic_schedule(inst),
+            lambda: random_schedule(inst, seed=1),
+            lambda: brute_force_schedule(inst),
+        )
+        for evaluate in evaluations:
+            with pytest.raises(ValueError, match=r"^the flows' handover times sum to inf s, past the largest float$"):
+                evaluate()
 
     def test_a_walk_back_without_a_match_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(sched, "_blocks", no_free_flows)
