@@ -264,9 +264,14 @@ def evaluate_order(instance: ReplacementInstance, order) -> float:
 
 
 def compute_energy(instance: ReplacementInstance, schedule: Schedule) -> EnergyReport:
-    """Evaluate a schedule: flow finish times, per-UAV completions, total energy."""
+    """Evaluate a schedule: flow finish times, per-UAV completions, total energy.
+
+    ValueError when the total energy overflows past the largest float.
+    """
     ensure_valid_schedule(instance, schedule)
     finish, completions, total = _energy(instance, schedule.order)
+    if not total < math.inf:
+        raise ValueError(f"the schedule's hovering energy sums to {total} J, past the largest float")
     return EnergyReport(
         completion_times=tuple(completions),
         total_energy=total,

@@ -6,16 +6,16 @@ order on that set that contains every flow-before-its-UAV dependency pair;
 its cost counts T_i * P_j for every flow ordered before a UAV.  The module
 builds the binary model, renders it as LP text for external solvers,
 validates candidate orders against it, and converts between orders and
-schedules.  The LP rows are cut from row templates kept for the process,
-so its Python-level work is O((n+m)^2) per model and each row is
-formatted once per process.
+schedules.  The LP rows are cut from cached row templates, one per row
+family, over the rows up to LP_SIZE_CAP, so its Python-level work is
+O((n+m)^2) per model and each row is formatted at most once per process.
 """
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 import math
-from threading import Lock
 
 from .errors import InstanceTooLarge
 from .model import ReplacementInstance, Schedule, ensure_valid_schedule
@@ -110,6 +110,12 @@ class IlpModel:
         return self.size * (self.size - 1)
 
 
+def _check_size(n: int, m: int):
+    """InstanceTooLarge past LP_SIZE_CAP elements, which the LP is not built or rendered for."""
+    if n + m > LP_SIZE_CAP:
+        raise InstanceTooLarge(f"LP export capped at n+m = {LP_SIZE_CAP}, instance has {n} flows and {m} UAVs")
+
+
 def build_ilp(instance: ReplacementInstance) -> IlpModel:
     """Binary program: minimize sum T_i P_j x_ij over flow-before-UAV pairs.
 
@@ -118,8 +124,7 @@ def build_ilp(instance: ReplacementInstance) -> IlpModel:
     n, m = instance.n, instance.m
     if n + m < 2:
         raise ValueError(f"ordering model needs at least two elements, got n+m = {n + m}")
-    if n + m > LP_SIZE_CAP:
-        raise InstanceTooLarge(f"LP export capped at n+m = {LP_SIZE_CAP}, instance has {n} flows and {m} UAVs")
+    _check_size(n, m)
     times = instance.times
     powers = instance.powers
     objective = tuple(
@@ -132,49 +137,29 @@ def build_ilp(instance: ReplacementInstance) -> IlpModel:
     return IlpModel(n=n, m=m, objective=objective, fixed=fixed)
 
 
-# The row templates of the largest n+m within LP_SIZE_CAP rendered in this
-# process: (size, pair, binary, tri), each template (text, offsets) over rows
-# k = 1..size, tri[j - 1] that of j.  Growing appends rows, so each row is
-# formatted once; one thread at a time grows it, and the grown tuple is
-# published by one assignment, so a reader never takes a half-grown store
-_store = (0, (b"", (0,)), (b"", (0,)), ())
-_growing = Lock()
+def _template(row) -> tuple[bytes, tuple[int, ...]]:
+    """The rows row(k) for k = 1..LP_SIZE_CAP as ASCII bytes, one byte per
+    character, and their offsets: row k spans text[at[k - 1]:at[k]]."""
+    rows = [row(k) for k in range(1, LP_SIZE_CAP + 1)]
+    return "".join(rows).encode("ascii"), tuple(accumulate(map(len, rows), initial=0))
 
 
-def _appended(template: tuple[bytes, tuple[int, ...]], rows: list[str]) -> tuple[bytes, tuple[int, ...]]:
-    """The template with rows appended, encoded as ASCII, one byte per
-    character; row k spans text[offsets[k - 1]:offsets[k]]."""
-    text, at = template
-    return text + "".join(rows).encode("ascii"), (*at[:-1], *accumulate(map(len, rows), initial=at[-1]))
+# The row templates of each family, formatted on first use and kept for the
+# process; i is the placeholder \x01, and a model reads each up to its row n+m
+@cache
+def _pair_template() -> tuple[bytes, tuple[int, ...]]:
+    return _template(lambda k: f" pair_\x01_{k}: x_\x01_{k} + x_{k}_\x01 = 1\n")
 
 
-def _tri_rows(j: int, ks: range) -> list[str]:
-    """The transitivity rows (i, j, k) of each k in ks, i a placeholder; the k = j row is empty."""
-    return [f" tri_\x01_{j}_{k}: x_\x01_{j} + x_{j}_{k} - x_\x01_{k} <= 1\n" if k != j else "" for k in ks]
+@cache
+def _binary_template() -> tuple[bytes, tuple[int, ...]]:
+    return _template(lambda k: f" x_\x01_{k}\n")
 
 
-def _templates(size: int) -> tuple:
-    """The store, grown to hold n+m = size at least."""
-    global _store
-    if size <= _store[0]:
-        return _store
-    with _growing:
-        have, pair, binary, tri = store = _store
-        if size <= have:
-            return store
-        new = range(have + 1, size + 1)
-        store = (
-            size,
-            _appended(pair, [f" pair_\x01_{k}: x_\x01_{k} + x_{k}_\x01 = 1\n" for k in new]),
-            _appended(binary, [f" x_\x01_{k}\n" for k in new]),
-            (
-                *[_appended(template, _tri_rows(j, new)) for j, template in enumerate(tri, 1)],
-                *[_appended((b"", (0,)), _tri_rows(j, range(1, size + 1))) for j in new],
-            ),
-        )
-        if size <= LP_SIZE_CAP:
-            _store = store
-        return store
+@cache
+def _tri_template(j: int) -> tuple[bytes, tuple[int, ...]]:
+    """The transitivity rows (i, j, k); the k = j row is empty."""
+    return _template(lambda k: f" tri_\x01_{j}_{k}: x_\x01_{j} + x_{j}_{k} - x_\x01_{k} <= 1\n" if k != j else "")
 
 
 def lp_chunks(model: IlpModel) -> Iterator[bytes]:
@@ -186,20 +171,23 @@ def lp_chunks(model: IlpModel) -> Iterator[bytes]:
     each leading index i, the binary section and ``End``.  A writer that
     takes one piece at a time never holds the (n+m)^3-byte whole.
 
-    The pair, transitivity and binary rows are cut from the process's
-    templates, which hold the placeholder ``\x01`` where the leading index
-    i goes and are read up to row n+m.  Transitivity block (i, j) is the
-    template of j with its k = i row left out, as two ``memoryview``
-    slices; each i joins its blocks and writes i in with one
-    ``bytes.replace``.  Python-level work per model is O((n+m)^2), row
-    formatting is paid once per process, and the (n+m)^3 bytes are copied
+    The pair, transitivity and binary rows are cut from the cached
+    templates of their family (the transitivity family has one per j),
+    which hold the placeholder ``\x01`` where the leading index i goes,
+    cover the rows up to LP_SIZE_CAP and are read up to row n+m.  Past the
+    cap it raises InstanceTooLarge before yielding anything.  Transitivity
+    block (i, j) is the template of j with its k = i row left out, as two
+    ``memoryview`` slices; each i joins its blocks and writes i in with one
+    ``bytes.replace``.  Python-level work per model is O((n+m)^2), each row
+    is formatted at most once per process, and the (n+m)^3 bytes are copied
     by the join and the replace alone, with no text decoded or encoded.
     """
+    _check_size(model.n, model.m)
     size = model.size
-    _, (pair, pair_at), (binary, binary_at), tri = _templates(size)
+    (pair, pair_at), (binary, binary_at) = _pair_template(), _binary_template()
     names = [str(k).encode("ascii") for k in range(size + 1)]
     terms = [f"{coeff!r} x_{i}_{j}" for (i, j), coeff in model.objective] or ["0 x_1_2"]
-    tri = [(memoryview(text)[: at[size]], at) for text, at in tri[:size]]
+    tri = [(memoryview(text)[: at[size]], at) for text, at in map(_tri_template, range(1, size + 1))]
     yield ("Minimize\n obj:\n   " + "\n   + ".join(terms) + "\nSubject To\n").encode("ascii")
     yield "".join([f" dep_{i}_{j}: x_{i}_{j} = 1\n" for i, j in model.fixed]).encode("ascii")
     pair, binary = pair[: pair_at[size]], binary[: binary_at[size]]

@@ -436,7 +436,7 @@ class TestMalformedFields:
         assert not list(tmp_path.glob("*.tmp")) and not list(tmp_path.glob(".*.tmp"))
 
     def test_schedule_energy_too_large_for_json(self, tmp_path, capsys):
-        # each handover time is finite, but the energy overflows to inf, which JSON cannot hold
+        # each handover time and their sum are finite, but the energy overflows to inf
         doc = {
             "flows": [{"id": 0, "t_ms": 1.7e308, "delta": [0]}, {"id": 1, "t_ms": 1.7e308, "delta": [0]}],
             "uavs": [{"id": 0, "p_watts": 1e10}],
@@ -444,8 +444,9 @@ class TestMalformedFields:
         inst = write_json(tmp_path / "inst.json", doc)
         out = tmp_path / "o.json"
         assert main(["schedule", "--instance", inst, "--method", "heuristic", "--out", str(out)]) == 2
-        assert "not writing" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: the schedule's hovering energy sums to inf J, past the largest float\n"
         assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp")) and not list(tmp_path.glob(".*.tmp"))
 
     def test_experiment_statistics_too_large_for_a_float(self, tmp_path, capsys):
         config = {"network": {"num_uavs": 12, "area_side": 100.0}, "n_flows_list": [5], "m_list": [2],

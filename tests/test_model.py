@@ -28,6 +28,7 @@ from uavsched.model import (
 )
 from uavsched import netgen
 from uavsched.netgen import NetworkParams, generate_network, sample_flow_routes, sample_retired_set
+from uavsched.sched import brute_force_schedule
 
 from helpers import ROUTED_EXAMPLE_ROUTES, ROUTED_EXAMPLE_RETIRED, reference_instance, random_instance, sampling_exhausted
 
@@ -391,6 +392,18 @@ class TestComputeEnergy:
         )
         order = tuple(rng.sample(range(inst.n), inst.n))
         assert compute_energy(zeroed, Schedule(order)).total_energy == 0.0
+
+    def test_an_energy_past_the_largest_float_is_refused_where_other_orders_stay_finite(self):
+        # flow 0: 1e305 s over a 1000 W UAV; flow 1: 1.7e308 s over a 0 W UAV.
+        # Both finish times stay finite in either order, but flow 0 last
+        # finishes at 1.701e308 s, and 1000 W times that is inf
+        inst = instance_from_parts((1e305, 1.7e308), ({0}, {1}), (1000.0, 0.0))
+        assert evaluate_order(inst, (1, 0)) == math.inf
+        with pytest.raises(ValueError, match=re.escape("the schedule's hovering energy sums to inf J, past the largest float")):
+            compute_energy(inst, Schedule((1, 0)))
+        result = brute_force_schedule(inst)
+        assert result.schedule.order == (0, 1)
+        assert result.energy == compute_energy(inst, Schedule((0, 1))).total_energy == 1000.0 * 1e305
 
     def test_evaluate_order_matches_report(self):
         rng = random.Random(11)

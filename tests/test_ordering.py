@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import threading
-from contextlib import contextmanager
 from itertools import permutations
 from pathlib import Path
 
@@ -20,10 +19,11 @@ from hypothesis import strategies as st
 import uavsched
 from uavsched import ordering
 from uavsched.cli import main
-from uavsched.errors import write_text
+from uavsched.errors import InstanceTooLarge, write_text
 from uavsched.model import Schedule, compute_energy, instance_from_json, instance_from_parts, instance_to_json
 from uavsched.netgen import NetworkParams
 from uavsched.ordering import (
+    LP_SIZE_CAP,
     IlpModel,
     TotalOrderMatrix,
     build_ilp,
@@ -327,19 +327,13 @@ class TestExportLp:
         assert a.read_bytes() == b.read_bytes()
 
 
-EMPTY_STORE = (0, (b"", (0,)), (b"", (0,)), ())
+TEMPLATES = (ordering._pair_template, ordering._binary_template, ordering._tri_template)
 
 
-@contextmanager
-def empty_store():
-    """Run the body from an empty template store, as a fresh process would,
-    and put the process's store back afterwards."""
-    kept = ordering._store
-    ordering._store = EMPTY_STORE
-    try:
-        yield
-    finally:
-        ordering._store = kept
+def clear_templates():
+    """Empty the template caches, so what follows starts as a fresh process would."""
+    for template in TEMPLATES:
+        template.cache_clear()
 
 
 def model_of_size(size: int) -> IlpModel:
@@ -348,62 +342,57 @@ def model_of_size(size: int) -> IlpModel:
     return random_model(size - m, m, seed=size)
 
 
-def assert_store_holds(size: int):
-    """The store holds exactly the row templates of n+m = size."""
-    held, (pair, pair_at), (binary, binary_at), tri = ordering._store
-    assert held == size
-    assert len(pair_at) == len(binary_at) == size + 1 and len(tri) == size
-    assert (len(pair), len(binary)) == (pair_at[-1], binary_at[-1])
-    assert all(len(text) == at[-1] and len(at) == size + 1 for text, at in tri)
-    assert binary.endswith(f" x_\x01_{size}\n".encode("ascii"))
-
-
-@pytest.fixture
-def formatted(monkeypatch):
-    """The k of every transitivity row the store formats from now on."""
-    rows = []
-    tri_rows = ordering._tri_rows
-    monkeypatch.setattr(ordering, "_tri_rows", lambda j, ks: rows.extend(ks) or tri_rows(j, ks))
-    return rows
+def assert_templates_hold(size: int):
+    """The caches hold the pair and binary templates and the transitivity
+    templates of j = 1..size, each formatted once and each over the rows
+    k = 1..LP_SIZE_CAP."""
+    assert [template.cache_info().misses for template in TEMPLATES] == [1, 1, size]
+    assert ordering._tri_template.cache_info().currsize == size
+    templates = [ordering._pair_template(), ordering._binary_template(), *map(ordering._tri_template, range(1, size + 1))]
+    assert all(len(text) == at[-1] and len(at) == LP_SIZE_CAP + 1 for text, at in templates)
+    assert ordering._binary_template()[0].endswith(f" x_\x01_{LP_SIZE_CAP}\n".encode("ascii"))
 
 
 class TestTemplateStore:
-    """The process-wide row templates of ``lp_chunks``: grown, never
-    reformatted, and read by each model only up to its own size."""
+    """The cached row templates of ``lp_chunks``: each formatted once per
+    process, and read by each model only up to its own size."""
 
     def test_sizes_that_shrink_and_grow_across_digit_widths_match_the_oracle(self):
         sizes = (14, 3, 101, 9, 10, 99, 100, 2)
-        with empty_store():
-            for size in sizes:
-                assert_same_text(model_of_size(size))
-            assert_store_holds(max(sizes))
+        clear_templates()
+        for size in sizes:
+            assert_same_text(model_of_size(size))
+        assert_templates_hold(max(sizes))
 
     @settings(max_examples=40, deadline=None)
     @given(sizes=st.lists(st.integers(2, 14), min_size=1, max_size=6))
     def test_random_size_sequences_match_the_oracle(self, sizes):
-        with empty_store():
-            for size in sizes:
-                assert_same_text(model_of_size(size))
-            assert_store_holds(max(sizes))
+        clear_templates()
+        for size in sizes:
+            assert_same_text(model_of_size(size))
+        assert_templates_hold(max(sizes))
 
-    def test_growing_formats_only_the_new_rows(self, formatted):
-        with empty_store():
-            lp_text(model_of_size(10))
-            assert len(formatted) == 10**2
-            lp_text(model_of_size(20))
-            lp_text(model_of_size(10))
-            lp_text(model_of_size(20))
-            assert len(formatted) == 20**2
+    def test_each_template_is_formatted_once(self):
+        clear_templates()
+        lp_text(model_of_size(10))
+        assert ordering._tri_template.cache_info().misses == 10
+        lp_text(model_of_size(20))
+        lp_text(model_of_size(10))
+        lp_text(model_of_size(20))
+        assert ordering._tri_template.cache_info().misses == 20
 
     def test_importing_the_package_formats_no_template(self):
-        child = "import uavsched, uavsched.cli; from uavsched.ordering import _store; print(_store)"
+        child = (
+            "import uavsched, uavsched.cli; from uavsched import ordering; "
+            "print([t.cache_info().currsize for t in (ordering._pair_template, ordering._binary_template, ordering._tri_template)])"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(uavsched.__file__).resolve().parents[1])}
         run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60)
-        assert run.stdout == f"{EMPTY_STORE}\n", run.stderr
+        assert run.stdout == "[0, 0, 0]\n", run.stderr
 
-    def test_threads_rendering_different_sizes_at_once_each_get_their_text(self, formatted):
-        # more threads than cores, switching often: a store grown by two
-        # threads at once would format some rows twice or lose the larger one
+    def test_threads_rendering_different_sizes_at_once_each_get_their_text(self):
+        # more threads than cores, switching often: each must read whole
+        # templates, whichever thread formats them
         sizes = (23, 47, 9, 68, 31, 60)
         expected = {size: seed_lp_text(model_of_size(size)) for size in sizes}
         texts = {}
@@ -416,21 +405,32 @@ class TestTemplateStore:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                formatted.clear()
                 texts.clear()
                 start = threading.Barrier(len(sizes))
-                with empty_store():
-                    threads = [threading.Thread(target=render, args=(size, start)) for size in sizes]
-                    for thread in threads:
-                        thread.start()
-                    for thread in threads:
-                        thread.join(timeout=120)
-                    assert not any(thread.is_alive() for thread in threads)
-                    assert_store_holds(max(sizes))
-                assert len(formatted) == max(sizes) ** 2
+                clear_templates()
+                threads = [threading.Thread(target=render, args=(size, start)) for size in sizes]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert ordering._tri_template.cache_info().currsize == max(sizes)
                 assert texts == expected
         finally:
             sys.setswitchinterval(interval)
+
+    def test_a_model_past_the_cap_is_refused_before_any_piece_with_the_message_of_build_ilp(self):
+        n = LP_SIZE_CAP
+        with pytest.raises(InstanceTooLarge) as built:
+            build_ilp(instance_from_parts((0.01,) * n, (frozenset({0}),) * n, (1.0,)))
+        pieces = lp_chunks(IlpModel(n=n, m=1, objective=(), fixed=()))
+        with pytest.raises(InstanceTooLarge) as rendered:
+            next(pieces)
+        assert str(rendered.value) == str(built.value) == (
+            f"LP export capped at n+m = {LP_SIZE_CAP}, instance has {n} flows and 1 UAVs"
+        )
+        with pytest.raises(InstanceTooLarge, match=re.escape(str(built.value))):
+            lp_text(IlpModel(n=n, m=1, objective=(), fixed=()))
 
 
 class TestTotalOrderMatrix:
