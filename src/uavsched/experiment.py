@@ -122,9 +122,21 @@ def summarize(samples) -> tuple[float, float, float, float]:
     return stats
 
 
+def _seed_prefix(master_seed: int, *parts):
+    """The blake2b state of a seed key up to its last part: "<master>|<part>|...|"."""
+    return hashlib.blake2b("|".join(map(str, (master_seed, *parts, ""))).encode("ascii"), digest_size=8)
+
+
+def _seed(prefix, last) -> int:
+    """The seed of the key ``prefix`` holds up to its last part, ``last``: its blake2b digest as an integer."""
+    state = prefix.copy()
+    state.update(str(last).encode("ascii"))
+    return int.from_bytes(state.digest(), "big")
+
+
 def _derive_seed(master_seed: int, *parts) -> int:
-    key = "|".join([str(master_seed), *map(str, parts)]).encode("ascii")
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+    """The seed of the key "<master>|<part>|...|<last part>"."""
+    return _seed(_seed_prefix(master_seed, *parts[:-1]), parts[-1])
 
 
 class _CellMemo:
@@ -136,9 +148,12 @@ class _CellMemo:
     build_instance's route cache, which maps each crossing route to its
     FlowSpec and keeps one FlowSpec object per value, so each flow's JSON text
     (FlowSpec.json_parts) is rendered once per cell.  ``uavs`` is the
-    retiring set that every call passes and build_instance compares by
-    value with the one the cache was filled for.  ``tail``, the text after
-    the flows, is the same for every instance of the cell.
+    retiring set, sorted by id, that every call passes: build_instance
+    finds it equal by value to the one the cache was filled for and reuses
+    the id set and dense id map it derived on the first call, without
+    sorting or checking the set again.  ``tail``, the text after the flows,
+    is the same for every instance of the cell.  The seed prefixes are
+    per cell, not per retiring set, so they are kept apart from the memo.
     """
 
     def __init__(self, net, retired):
@@ -157,21 +172,24 @@ class _CellMemo:
         return '{"flows": [' + ", ".join(parts) + "], " + self.tail
 
 
-def _memo(config: ExperimentConfig, net, n_f: int, m: int, *k: int) -> _CellMemo:
-    """The memo of the retiring set drawn under seed key ("retired", n_f, m, *k); k is given when resampled."""
-    rng = random.Random(_derive_seed(config.master_seed, "retired", n_f, m, *k))
-    return _CellMemo(net, sample_retired_set(net, m, rng))
+def _memo(net, m: int, seed: int) -> _CellMemo:
+    """The memo of the retiring set of m UAVs drawn under ``seed``."""
+    return _CellMemo(net, sample_retired_set(net, m, random.Random(seed)))
 
 
-def _run_iteration(config: ExperimentConfig, net, n_f: int, m: int, k: int, memo: _CellMemo):
-    """One iteration's instance digest and method outcomes under the memo's retiring set."""
-    flow_rng = random.Random(_derive_seed(config.master_seed, "flows", n_f, m, k))
+def _run_iteration(config: ExperimentConfig, net, n_f: int, k: int, memo: _CellMemo, seeds: dict):
+    """One iteration's instance digest and method outcomes under the memo's retiring set.
+
+    ``seeds`` maps "flows", "retired" and each seeded method to its seed
+    key's prefix in the cell; iteration k's seed is ``_seed(seeds[key], k)``.
+    """
+    flow_rng = random.Random(_seed(seeds["flows"], k))
     flows = sample_flow_routes(net, memo.table.retired, n_f, flow_rng, table=memo.table)
     instance = build_instance(flows, memo.uavs, config.timings, cache=memo.cache).instance
     text = memo.instance_text(instance)
     outcomes = {}
     for method in config.methods:
-        seed = _derive_seed(config.master_seed, method, n_f, m, k) if METHODS[method].seeded else None
+        seed = _seed(seeds[method], k) if METHODS[method].seeded else None
         try:
             result = METHODS[method].solve(instance, seed, config.exact_cap)
             outcomes[method] = (result.energy, result.wall_time)
@@ -191,11 +209,13 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     digests: dict[tuple[int, int], tuple[str, ...]] = {}
     for n_f in config.n_flows_list:
         for m in config.m_list:
+            seeded = (method for method in config.methods if METHODS[method].seeded)
+            seeds = {key: _seed_prefix(config.master_seed, key, n_f, m) for key in ("flows", "retired", *seeded)}
             if config.resample_retired_per_iteration:  # drawn lazily: one memo lives at a time
-                memos = (_memo(config, net, n_f, m, k) for k in range(config.iterations))
+                memos = (_memo(net, m, _seed(seeds["retired"], k)) for k in range(config.iterations))
             else:
-                memos = [_memo(config, net, n_f, m)] * config.iterations
-            iterations = [_run_iteration(config, net, n_f, m, k, memo) for k, memo in enumerate(memos)]
+                memos = [_memo(net, m, _derive_seed(config.master_seed, "retired", n_f, m))] * config.iterations
+            iterations = [_run_iteration(config, net, n_f, k, memo, seeds) for k, memo in enumerate(memos)]
             digests[(n_f, m)] = tuple(digest for digest, _ in iterations)
             for method in config.methods:
                 ran = [outcomes[method] for _, outcomes in iterations if outcomes[method] is not None]

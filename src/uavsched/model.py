@@ -236,24 +236,28 @@ def ensure_valid_schedule(instance: ReplacementInstance, schedule: Schedule) -> 
 
 def _energy(instance: ReplacementInstance, order) -> tuple[list[float], list[float], float]:
     """Flow finish times, per-UAV completion times, and total energy of a flow
-    order.  ValueError when the handover times sum past the largest float."""
-    times = instance.times
+    order.  ValueError when the handover times sum past the largest float.
+
+    One pass over the order, from the flow side: each flow's finish time is
+    written as the completion time of every UAV it crosses.  Finish times
+    never decrease along the order, so the last flow of UAV j writes the
+    very float that the maximum over its flows gives; a UAV no flow crosses
+    stays at 0.0.  The total is summed from 0.0 in ascending UAV id.
+    """
+    flows = instance.flows
     finish = [0.0] * instance.n
+    completions = [0.0] * instance.m
     t = 0.0
     for f in order:
-        t += times[f]
+        flow = flows[f]
+        t += flow.handover_time
         finish[f] = t
+        for j in flow.retired_set:
+            completions[j] = t
     if not t < math.inf:  # past it, a 0 W UAV would cost 0.0 * inf = NaN
         raise ValueError(f"the flows' handover times sum to {t} s, past the largest float")
-    completions = []
     total = 0.0
-    for power, members in zip(instance.powers, instance.flow_sets):
-        c = 0.0
-        for i in members:
-            fi = finish[i]
-            if fi > c:
-                c = fi
-        completions.append(c)
+    for power, c in zip(instance.powers, completions):
         total += power * c
     return finish, completions, total
 
@@ -286,8 +290,8 @@ class InstanceBuild:
     instance: ReplacementInstance
 
 
-# build_instance keeps the retiring set and timings a cache was filled for
-# under this key
+# build_instance keeps the retiring set and timings a cache was filled for,
+# and what it derived from them, under this key
 _FILLED_FOR = object()
 
 
@@ -306,21 +310,32 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
     is checked on every sight.  A crossing route is checked once, when its
     entry is made.  Equal FlowSpecs are interned in the same dict, so
     routes that derive equal flows, and every build that sees them, share
-    one FlowSpec object.  The cache remembers the retiring set and timings
-    it was filled for and compares every call's with them; other ones raise
-    ValueError.
+    one FlowSpec object.  The cache remembers the retiring set (sorted by
+    id) and timings it was filled for, with the id set and the dense id
+    map derived from them.  A call whose retiring set, snapshotted by
+    value, and timings equal those reuses the two; any other call sorts and
+    checks its own set, and raises ValueError unless it equals the
+    remembered one.  The powers are always the call's own.
     """
-    retired_uavs = sorted(retired_uavs, key=lambda item: item[0])
-    uav_original = tuple(uid for uid, _ in retired_uavs)
-    retired_ids = set(uav_original)
-    if len(retired_ids) != len(uav_original):
-        raise ValueError(f"retiring UAV ids must be unique, got {list(uav_original)!r}")
-    if cache is None:
-        cache = {}
-    filled_for = (tuple(map(tuple, retired_uavs)), timings)
-    if cache.setdefault(_FILLED_FOR, filled_for) != filled_for:
-        raise ValueError("route cache was filled for another retiring set or other timings")
-    dense_of_uav = {uid: j for j, uid in enumerate(uav_original)}
+    given = (tuple(map(tuple, retired_uavs)), timings)
+    filled = None if cache is None else cache.get(_FILLED_FOR)
+    if filled is not None and filled[0] == given:
+        retired_uavs = given[0]
+        _, retired_ids, dense_of_uav = filled
+    else:
+        retired_uavs = sorted(given[0], key=lambda item: item[0])
+        uav_original = tuple(uid for uid, _ in retired_uavs)
+        retired_ids = set(uav_original)
+        if len(retired_ids) != len(uav_original):
+            raise ValueError(f"retiring UAV ids must be unique, got {list(uav_original)!r}")
+        if cache is None:
+            cache = {}
+        filled_for = (tuple(retired_uavs), timings)
+        if filled is not None and filled[0] != filled_for:
+            raise ValueError("route cache was filled for another retiring set or other timings")
+        dense_of_uav = {uid: j for j, uid in enumerate(uav_original)}
+        if filled is None:
+            cache[_FILLED_FOR] = (filled_for, retired_ids, dense_of_uav)
     seen_fids = set()
     specs = []
     for fid, route in flows:
@@ -339,7 +354,7 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
             spec = FlowSpec(handover_time(counts, timings), frozenset(dense_of_uav[u] for u in hit), counts)
             spec = cache[nodes] = cache.setdefault(spec, spec)
         specs.append(spec)
-    powers = tuple(power for _, power in retired_uavs)
+    powers = tuple(power for _, power in retired_uavs)  # this call's: an equal 10 and 10.0 print apart
     instance = ReplacementInstance(flows=tuple(specs), powers=powers, timings=timings)
     return InstanceBuild(instance=instance)
 

@@ -52,14 +52,18 @@ def _result(instance: ReplacementInstance, order, method: str, start: float) -> 
 
 
 def score_table(instance: ReplacementInstance) -> ScoreTable:
-    """Compute H_j (total handover time pinned on UAV j) and S_i = sum P_j/H_j."""
-    times = instance.times
+    """Compute H_j (total handover time pinned on UAV j) and S_i = sum P_j/H_j.
+
+    H_j is summed from the flow side: walking the flows in ascending id, each
+    adds its time to the H of every UAV it crosses, so each H_j adds its own
+    flows in ascending id from 0.0.  Each distinct delta object's score is
+    summed once, over sorted(delta) from 0.0.
+    """
     h = [0.0] * instance.m
-    for j, members in enumerate(instance.flow_sets):
-        total = 0.0
-        for i in members:
-            total += times[i]
-        h[j] = total
+    for flow in instance.flows:
+        t = flow.handover_time
+        for j in flow.retired_set:
+            h[j] += t
     powers = instance.powers
     by_delta = {}  # one sum per delta object, keyed by id: a delta need not be hashable
     s = []

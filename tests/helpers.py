@@ -118,6 +118,31 @@ def heuristic_reference(instance):
     return ScoreTable(h=tuple(h), s=tuple(s)), order
 
 
+def energy_reference(instance, order):
+    """The energy of a flow order from the UAV side, as a plain loop: each
+    flow's finish time is the running sum of the times along the order,
+    C_j is the largest finish time of the flows crossing UAV j (0.0 for a
+    UAV no flow crosses), and the total sums P_j * C_j from 0.0 in
+    ascending j.  The oracle for ``compute_energy`` and ``evaluate_order``;
+    returns (finish times, completion times, total), each a float or a tuple
+    of floats."""
+    finish = [0.0] * instance.n
+    t = 0.0
+    for f in order:
+        t += instance.flows[f].handover_time
+        finish[f] = t
+    completions = []
+    total = 0.0
+    for j, power in enumerate(instance.powers):
+        c = 0.0
+        for i, flow in enumerate(instance.flows):
+            if j in flow.retired_set and finish[i] > c:
+                c = finish[i]
+        completions.append(c)
+        total += power * c
+    return tuple(finish), tuple(completions), total
+
+
 def exact_dp_reference(instance):
     """The flow-subset DP as a plain loop over every flow of every state, with
     each gain summed entry by entry: the oracle for ``exact_schedule_dp``.

@@ -29,7 +29,7 @@ from uavsched.experiment import (
 from uavsched.netgen import MAX_FLOWS, NetworkParams
 from uavsched.sched import METHODS
 
-from helpers import heuristic_reference
+from helpers import energy_reference, heuristic_reference
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -376,6 +376,46 @@ class TestPaperScaleOptimum:
         assert len(shared) == 200
         assert sum(shared) > 100
 
+    def test_energies_of_a_paper_scale_cell_equal_the_uav_side_loop(self, monkeypatch):
+        # every schedule of the largest paper-scale cell (n_f = 100, m = 10),
+        # re-evaluated as _result does, against the plain UAV-side loop
+        compute = sched.compute_energy
+        checked = []
+
+        def compared(instance, schedule):
+            report = compute(instance, schedule)
+            finish, completions, total = energy_reference(instance, schedule.order)
+            assert list(map(float.hex, report.flow_finish_times)) == list(map(float.hex, finish))
+            assert list(map(float.hex, report.completion_times)) == list(map(float.hex, completions))
+            assert report.total_energy.hex() == model.evaluate_order(instance, schedule.order).hex() == total.hex()
+            checked.append(instance)
+            return report
+
+        monkeypatch.setattr(sched, "compute_energy", compared)
+        run_experiment(script_config("full_sweep.json", n_flows_list=(100,), m_list=(10,)))
+        assert len(checked) == 2 * 200
+        assert any(0.0 in energy_reference(i, range(i.n))[1] for i in checked)  # a UAV no flow crosses
+
+    def test_a_heuristic_and_random_cell_never_builds_the_uav_side_view(self, monkeypatch):
+        # neither the scores, the energies nor the digest text need the
+        # flows of each UAV or the tuple of handover times, so no instance
+        # of the cell derives them
+        instances = []
+        build = experiment.build_instance
+
+        def recorded(*args, **kwargs):
+            result = build(*args, **kwargs)
+            instances.append(result.instance)
+            return result
+
+        monkeypatch.setattr(experiment, "build_instance", recorded)
+        config = script_config("full_sweep.json", n_flows_list=(100,), m_list=(10,))
+        assert config.methods == ("heuristic", "random")
+        run_experiment(config)
+        assert len(instances) == 200
+        assert not any({"flow_sets", "times"} & instance.__dict__.keys() for instance in instances)
+        assert instances[0].flow_sets and "flow_sets" in instances[0].__dict__
+
 
 class TestBenchmarkHooks:
     def test_the_tracer_sees_exact_dp_calls_through_the_method_table(self):
@@ -400,6 +440,67 @@ def sweep_fingerprint(config: ExperimentConfig) -> tuple[str, str]:
         f"{n_f},{m}:{digest}" for (n_f, m), cell in sorted(result.instance_digests.items()) for digest in cell
     )
     return hashlib.sha256(masked.encode("ascii")).hexdigest(), hashlib.sha256(digests.encode("ascii")).hexdigest()
+
+
+def samples_fingerprint(config: ExperimentConfig) -> str:
+    """SHA-256 of every cell's samples as float.hex, cells in (n_f, m, method) order."""
+    cells = sorted(run_experiment(config).cells, key=lambda c: (c.n_f, c.m, c.method))
+    lines = "\n".join(f"{c.n_f},{c.m},{c.method}:" + " ".join(map(float.hex, c.samples)) for c in cells)
+    return hashlib.sha256(lines.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name,overrides,sha256",
+    [
+        ("desk.json", {}, "ab6a45c8f8c467d35c9e644ff5b993eb5384e49196ef54d2f52d0a1785629802"),
+        ("full_sweep.json", {"iterations": 3}, "cc137b147ab11f4db2f08c77fbc9c3814bef9bb2ae7e73fea660ddfcd644fe62"),
+    ],
+    ids=["desk", "full_sweep-3-iterations"],
+)
+def test_every_sample_has_the_bits_recorded_before_the_flow_side_energy(name, overrides, sha256):
+    # the CSV's 9 digits cannot see a change in the last bit of an energy;
+    # recorded on the code that took each C_j as the maximum over the UAV's flows
+    assert samples_fingerprint(script_config(name, **overrides)) == sha256
+
+
+def derive_seed_reference(master_seed, *parts) -> int:
+    """The seed formula as one blake2b over the joined key: the oracle of the seed prefixes."""
+    key = "|".join([str(master_seed), *map(str, parts)]).encode("ascii")
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("master_seed", [0, 1, -1, -987654321, 12345678901234567890, -98765432109876543210])
+    def test_prefixes_give_the_seeds_of_the_joined_key(self, master_seed):
+        for n_f, m in [(8, 3), (100, 10), (1, 0)]:
+            for key in ("flows", "retired", *METHODS):
+                prefix = experiment._seed_prefix(master_seed, key, n_f, m)
+                for k in (0, 1, 9, 10, 199, MAX_ITERATIONS - 1):
+                    assert experiment._seed(prefix, k) == derive_seed_reference(master_seed, key, n_f, m, k)
+                    assert experiment._derive_seed(master_seed, key, n_f, m, k) == derive_seed_reference(master_seed, key, n_f, m, k)
+                assert experiment._derive_seed(master_seed, key, n_f, m) == derive_seed_reference(master_seed, key, n_f, m)
+        assert experiment._derive_seed(master_seed, "network") == derive_seed_reference(master_seed, "network")
+
+    def test_a_prefix_is_hashed_once_per_cell(self, monkeypatch):
+        # the network's key and, per cell, the fixed retiring set's (each
+        # hashed whole, its prefix being all but the last part), and the
+        # prefixes of the flows, the resampled retiring sets and the random
+        # method; no iteration hashes a prefix
+        made = []
+        prefix = experiment._seed_prefix
+
+        def counted(*parts):
+            made.append(parts[1:])
+            return prefix(*parts)
+
+        monkeypatch.setattr(experiment, "_seed_prefix", counted)
+        for resample in (False, True):
+            made.clear()
+            config = desk_config(resample_retired_per_iteration=resample)
+            run_experiment(config)
+            fixed = [] if resample else [("retired", 8)] * len(config.m_list)
+            keys = ("flows", "retired", "random")
+            assert sorted(made) == sorted([()] + fixed + [(key, 8, m) for m in config.m_list for key in keys])
 
 
 def test_criterion_5_sweep_matches_the_values_recorded_before_the_free_flow_kernel():

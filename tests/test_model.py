@@ -1,6 +1,8 @@
 """Tests for the instance model, rule timing, and energy evaluation."""
 
 import dataclasses
+from itertools import permutations
+import json
 import math
 import random
 import re
@@ -30,7 +32,14 @@ from uavsched import netgen
 from uavsched.netgen import NetworkParams, generate_network, sample_flow_routes, sample_retired_set
 from uavsched.sched import brute_force_schedule
 
-from helpers import ROUTED_EXAMPLE_ROUTES, ROUTED_EXAMPLE_RETIRED, reference_instance, random_instance, sampling_exhausted
+from helpers import (
+    ROUTED_EXAMPLE_ROUTES,
+    ROUTED_EXAMPLE_RETIRED,
+    energy_reference,
+    reference_instance,
+    random_instance,
+    sampling_exhausted,
+)
 
 
 def rel_close(a, b, tol=1e-9):
@@ -226,6 +235,50 @@ class TestRouteCache:
         with pytest.raises(ValueError, match="another retiring set or other timings"):
             build_instance([(0, (5, 1, 6))], uavs, cache=cache)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda uavs: uavs.append([3, 30.0]),
+            lambda uavs: uavs.pop(),
+            lambda uavs: uavs[0].__setitem__(1, 99.0),
+            lambda uavs: uavs[1].__setitem__(0, 4),
+        ],
+        ids=["item-appended", "item-removed", "power-changed-inside-an-item", "id-changed-inside-an-item"],
+    )
+    def test_a_list_mutated_in_place_between_two_calls_is_refused(self, mutate):
+        # the cache keeps a snapshot of the set by value, not the list
+        uavs = [[1, 10.0], [2, 20.0]]
+        routes = [(0, (5, 1, 6)), (1, (7, 2, 8))]
+        cache = {}
+        build_instance(routes, uavs, cache=cache)
+        build_instance(routes, uavs, cache=cache)
+        mutate(uavs)
+        with pytest.raises(ValueError, match="^route cache was filled for another retiring set or other timings$"):
+            build_instance(routes, uavs, cache=cache)
+
+    def test_an_equal_set_in_another_order_is_accepted_and_other_timings_or_repeated_ids_are_not(self):
+        routes = [(0, (5, 1, 6)), (1, (7, 2, 8)), (2, (7, 2, 1, 8))]
+        cache = {}
+        first = build_instance(routes, [(1, 10.0), (2, 20.0)], cache=cache).instance
+        again = build_instance(routes, ((2, 20.0), (1, 10.0)), cache=cache).instance
+        assert again == first == build_instance(routes, ((2, 20.0), (1, 10.0))).instance
+        assert all(a is b for a, b in zip(again.flows, first.flows))
+        for uavs in ([(1, 10.0), (2, 20.0)], ((2, 20.0), (1, 10.0))):
+            with pytest.raises(ValueError, match="^route cache was filled for another retiring set or other timings$"):
+                build_instance(routes, uavs, RuleTimings(tau_del=0.004), cache=cache)
+        with pytest.raises(ValueError, match=re.escape("retiring UAV ids must be unique, got [1, 1, 2]")):
+            build_instance(routes, [(2, 20.0), (1, 10.0), (1, 10.0)], cache=cache)
+
+    def test_each_call_keeps_its_own_powers(self):
+        # 10 == 10.0, so both pass the comparison, but the instance JSON
+        # prints them apart; a cached build must print as the uncached one
+        routes = [(0, (5, 1, 6))]
+        cache = {}
+        for uavs in ([(1, 10)], [(1, 10.0)], ((1, 10),), [[1, 10.0]]):
+            cached = build_instance(routes, uavs, cache=cache).instance
+            fresh = build_instance(routes, uavs).instance
+            assert json.dumps(instance_to_json(cached)) == json.dumps(instance_to_json(fresh))
+
     def test_routes_that_derive_equal_flows_share_one_flow_spec(self):
         # each route crosses UAV 1 alone, as one run of one relay
         uavs = [(1, 10.0), (2, 20.0)]
@@ -411,6 +464,37 @@ class TestComputeEnergy:
             inst = random_instance(rng)
             order = tuple(rng.sample(range(inst.n), inst.n))
             assert evaluate_order(inst, order) == compute_energy(inst, Schedule(order)).total_energy
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_the_flow_side_pass_gives_the_bits_of_the_uav_side_loop(self, data):
+        # 0 W UAVs, UAVs no flow crosses, equal times, and times absorbed
+        # by an earlier 1e16 s (1e16 + 1.0 == 1e16), so that finish times
+        # tie along the order; inexact products make the summing order show
+        m = data.draw(st.integers(1, 6), label="m")
+        crossed = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1), label="crossed"))
+        n = data.draw(st.integers(1, 8), label="n")
+        times = data.draw(st.lists(st.sampled_from([1e16, 1.0, 0.02, 0.005, 3.0, 0.013, 0.0071]), min_size=n, max_size=n), label="times")
+        deltas = data.draw(st.lists(st.sets(st.sampled_from(crossed), min_size=1), min_size=n, max_size=n), label="deltas")
+        powers = data.draw(st.lists(st.sampled_from([0.0, 0.1, 37.3, 100.0, 310.0]), min_size=m, max_size=m), label="powers")
+        inst = instance_from_parts(times, deltas, powers)
+        order = tuple(data.draw(st.permutations(range(n)), label="order"))
+        finish, completions, total = energy_reference(inst, order)
+        report = compute_energy(inst, Schedule(order))
+        assert list(map(float.hex, report.flow_finish_times)) == list(map(float.hex, finish))
+        assert list(map(float.hex, report.completion_times)) == list(map(float.hex, completions))
+        assert report.total_energy.hex() == evaluate_order(inst, order).hex() == total.hex()
+        assert "flow_sets" not in inst.__dict__
+
+    def test_the_flow_side_pass_still_refuses_times_summing_past_the_largest_float(self):
+        # the sum reaches inf at the second flow and stays there
+        inst = instance_from_parts((1.7e308, 1.7e308, 1.0), ({0}, {0, 1}, {1}), (0.0, 5.0))
+        message = r"^the flows' handover times sum to inf s, past the largest float$"
+        for order in permutations(range(3)):
+            with pytest.raises(ValueError, match=message):
+                compute_energy(inst, Schedule(order))
+            with pytest.raises(ValueError, match=message):
+                evaluate_order(inst, order)
 
 
 class TestInstanceJson:
