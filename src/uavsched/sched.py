@@ -1,14 +1,16 @@
 """Handover schedulers: score heuristic, random baseline, and exact solvers.
 
-The exact optimum is found with a subset dynamic program over whichever
-side is smaller, after dropping the UAVs no flow crosses where the instance
-does not fit otherwise.  Over flow sets: because handover times add up the
-same way in any order, the elapsed time after a set of flows is order-free,
-and a retiring UAV's cost is charged at the step that completes the last of
-its flows; the states are scored a block of 2^(n/2) at a time.  Over UAV
-sets: once the UAVs finish in a fixed order, handing each UAV's remaining
-flows over as one block just before it finishes is optimal.  A brute-force
-permutation enumerator serves as an independent oracle at small sizes.
+The exact optimum is found with a subset dynamic program over flow sets
+when n <= min(m, cap), and otherwise over the sets of the UAVs some flow
+crosses (a UAV no flow crosses costs P * 0.0), so an instance fits when
+min(n, crossed UAVs) <= cap.  Over flow sets: because handover times add
+up the same way in any order, the elapsed time after a set of flows is
+order-free, and a retiring UAV's cost is charged at the step that completes
+the last of its flows; the states are scored a block of 2^(n/2) at a time.
+Over UAV sets: once the UAVs finish in a fixed order, handing each UAV's
+remaining flows over as one block just before it finishes is optimal.  A
+brute-force permutation enumerator serves as an independent oracle at
+small sizes.
 METHODS names every scheduler the CLI and experiments run.
 """
 
@@ -20,7 +22,7 @@ import random
 import time
 
 from .errors import InstanceTooLarge
-from .model import ReplacementInstance, Schedule, compute_energy, evaluate_order, instance_from_parts
+from .model import ReplacementInstance, Schedule, compute_energy, evaluate_order
 
 EXACT_CAP_DEFAULT = 22
 BRUTE_FORCE_CAP = 8
@@ -337,47 +339,41 @@ def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_
 def exact_schedule(instance: ReplacementInstance, cap: int = EXACT_CAP_DEFAULT) -> SolverResult:
     """Globally optimal schedule via a subset DP over the smaller side.
 
-    With n <= m this is ``exact_schedule_dp(instance, cap)``, method label and tie
-    rule included.  Otherwise the DP runs over UAV subsets U: best(U) = min
-    over j in U of best(U - j) + P_j * T(U), where T(U) is the total
-    handover time of the flows crossing any UAV of U, read from a subset sum
-    over the 2^m UAV sets so that neither time nor memory grows with n.
-    Tie rule: working back from the full set, the lowest UAV id attaining
-    the minimum finishes last; the flows are then handed over block by block
-    in that UAV order, each block (the UAV's flows not yet handed over) in
-    ascending flow id.  Where min(n, m) exceeds ``cap``, the UAVs that no
-    flow crosses are dropped first, which changes no energy, and the DP
-    that fits solves the rest under its own label; InstanceTooLarge when
-    none fits.  ValueError when the handover times sum past the largest float.
+    With n <= min(m, cap) this is ``exact_schedule_dp(instance, cap)``, method
+    label and tie rule included.  Otherwise the DP runs over the subsets U of
+    the crossed UAVs, those some flow crosses: best(U) = min over j in U of
+    best(U - j) + P_j * T(U), where T(U) is the total handover time of the
+    flows crossing any UAV of U, read from a subset sum over the crossed UAV
+    sets so that neither time nor memory grows with n.  A UAV no flow
+    crosses would add P * 0.0 to every state, so leaving it out changes no
+    order and no energy.  Tie rule: working back from the full set, the
+    lowest UAV id attaining the minimum finishes last; the flows are then
+    handed over block by block in that UAV order, each block (the UAV's
+    flows not yet handed over) in ascending flow id.  InstanceTooLarge
+    unless min(n, crossed UAVs) <= cap.  ValueError when the handover times
+    sum past the largest float.
     """
     n, m = instance.n, instance.m
-    if min(n, m) > cap:
-        # a UAV no flow crosses completes at 0.0 and costs nothing: drop those
-        # where the instance does not fit otherwise (its flows keep their ids)
-        active = [j for j, members in enumerate(instance.flow_sets) if members]
-        if min(n, len(active)) <= cap:
-            start = time.perf_counter()
-            index = {j: k for k, j in enumerate(active)}
-            deltas = [[index[j] for j in flow.retired_set] for flow in instance.flows]
-            powers = [instance.powers[j] for j in active]
-            part = exact_schedule(instance_from_parts(instance.times, deltas, powers), cap)
-            return _result(instance, part.schedule.order, part.method, start)
-    if n <= m:
+    if n <= min(m, cap):
         return exact_schedule_dp(instance, cap)
-    if m > cap:
-        raise InstanceTooLarge(f"exact solver capped at {cap} flows or UAVs, instance has {n} flows and {m} UAVs")
     start = time.perf_counter()
-    powers = instance.powers
-    size = 1 << m
+    flow_sets = instance.flow_sets
+    active = [j for j, members in enumerate(flow_sets) if members]
+    if len(active) > cap:
+        message = f"instance has {n} flows and {len(active)} crossed UAVs of {m}"
+        raise InstanceTooLarge(f"exact solver capped at {cap} flows or crossed UAVs, {message}")
+    index = {j: k for k, j in enumerate(active)}
+    powers = [instance.powers[j] for j in active]
+    size = 1 << len(active)
     full = size - 1
 
     # inside[S]: total handover time of the flows whose UAVs all lie in S,
     # so the flows crossing U take T(U) = inside[full] - inside[full ^ U]
     inside = [0.0] * size
     for flow, t in zip(instance.flows, instance.times):
-        inside[sum(1 << j for j in flow.retired_set)] += t
-    for j in range(m):
-        half = 1 << j
+        inside[sum(1 << index[j] for j in flow.retired_set)] += t
+    for k in range(len(active)):
+        half = 1 << k
         for base in range(half, size, 2 * half):
             inside[base:base + half] = map(add, inside[base:base + half], inside[base - half:base])
     total = inside[full]
@@ -402,13 +398,11 @@ def exact_schedule(instance: ReplacementInstance, cap: int = EXACT_CAP_DEFAULT) 
     state = full
     while state:
         t = total - inside[full ^ state]
-        last = next(
-            j for j in range(m) if state >> j & 1 and best[state ^ (1 << j)] + powers[j] * t == best[state]
-        )
-        uav_order.append(last)
+        last = next(k for k, p in enumerate(powers) if state >> k & 1 and best[state ^ (1 << k)] + p * t == best[state])
+        uav_order.append(active[last])
         state ^= 1 << last
     # each flow is handed over in the block of the first UAV it crosses
-    order = list(dict.fromkeys(i for j in reversed(uav_order) for i in instance.flow_sets[j]))
+    order = list(dict.fromkeys(i for j in reversed(uav_order) for i in flow_sets[j]))
     return _result(instance, order, "exact_uav", start)
 
 

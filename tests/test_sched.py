@@ -1,6 +1,7 @@
 """Tests for the schedulers: heuristic, random baseline, exact DP, brute force."""
 
 import random
+import re
 import statistics
 
 import pytest
@@ -391,7 +392,8 @@ class TestExactSchedule:
                 (0.03125,) * n, [{i % m} | {j for j in range(m) if j % n == i} for i in range(n)], (100.0,) * m
             )
             assert all(inst.flow_sets)
-            with pytest.raises(InstanceTooLarge):
+            message = f"capped at {EXACT_CAP_DEFAULT} flows or crossed UAVs, instance has {n} flows and {m} crossed UAVs of {m}"
+            with pytest.raises(InstanceTooLarge, match=re.escape(message)):
                 exact_schedule(inst)
 
     @settings(max_examples=100, deadline=None)
@@ -404,15 +406,26 @@ class TestExactSchedule:
         if zero_powers:
             inst = with_some_powers_zeroed(rng, inst)
         m = inst.m
-        slots = sorted(rng.sample(range(m + pad), m))  # the new ids of the crossed UAVs
-        powers = [float(rng.randint(20, 310)) for _ in range(m + pad)]
-        for j, k in enumerate(slots):
-            powers[k] = inst.powers[j]
-        padded = instance_from_parts(inst.times, [{slots[j] for j in f.retired_set} for f in inst.flows], powers)
+
+        def padded_with(pad, draw_power):
+            slots = sorted(rng.sample(range(m + pad), m))  # the new ids of the UAVs of inst
+            powers = [draw_power() for _ in range(m + pad)]
+            for j, k in enumerate(slots):
+                powers[k] = inst.powers[j]
+            return instance_from_parts(inst.times, [{slots[j] for j in f.retired_set} for f in inst.flows], powers)
+
+        padded = padded_with(pad, lambda: float(rng.randint(20, 310)))
         assert min(padded.n, padded.m) > m
         result, reference = exact_schedule(padded, m), exact_schedule(inst, m)
         assert result.method == reference.method == "exact_uav"
         assert (result.schedule, result.energy) == (reference.schedule, reference.energy)
+        assert result.energy == compute_energy(padded, result.schedule).total_energy
+        # within the default cap: few enough pad UAVs that n > m still holds,
+        # each at 0 W or not
+        padded = padded_with(min(pad, inst.n - m - 1), lambda: rng.choice((0.0, float(rng.randint(20, 310)))))
+        assert padded.n > padded.m <= EXACT_CAP_DEFAULT
+        result, reference = exact_schedule(padded), exact_schedule(inst)
+        assert (result.schedule, result.method, result.energy) == (reference.schedule, "exact_uav", reference.energy)
         assert result.energy == compute_energy(padded, result.schedule).total_energy
 
     def test_an_instance_past_the_cap_with_few_crossed_uavs_is_solved(self):
@@ -424,6 +437,19 @@ class TestExactSchedule:
         result = exact_schedule(inst)
         assert (result.method, result.energy) == ("exact_uav", 432.10086484975943)
         assert result.energy == compute_energy(inst, result.schedule).total_energy
+
+    def test_paper_scale_instance_recorded_before_the_contraction(self):
+        # 37 kept flows over 20 retiring UAVs of an 80-UAV network, 9 of them
+        # crossed; recorded when the UAV DP still walked all 2^20 UAV sets
+        inst = sampled_instance(NetworkParams(num_uavs=80, area_side=210.0), 1, 100, 20, 120)
+        assert (inst.n, inst.m, sum(map(bool, inst.flow_sets))) == (37, 20, 9)
+        result = exact_schedule(inst)
+        assert result.method == "exact_uav"
+        assert result.schedule.order == (
+            9, 7, 22, 23, 26, 4, 8, 19, 25, 27, 28, 0, 12, 15, 18, 21, 30, 31, 2,
+            10, 11, 14, 34, 5, 6, 1, 3, 13, 16, 20, 24, 29, 32, 36, 17, 35, 33,
+        )
+        assert result.energy.hex() == "0x1.d2e7689680af9p+8"
 
     def test_uav_side_cost_does_not_grow_with_the_flow_count(self):
         # 20k flows on 16 UAVs: a DP that walked the flows once per UAV
