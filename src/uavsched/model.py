@@ -106,6 +106,18 @@ def handover_time(counts: RuleCounts, timings: RuleTimings) -> float:
     return counts.r_del * timings.tau_del + counts.r_ins * timings.tau_ins + counts.r_mod * timings.tau_mod
 
 
+def _runs(nodes, retired) -> int:
+    """Maximal runs of retiring relays on a route of distinct nodes; ValueError when an endpoint retires."""
+    if nodes[0] in retired or nodes[-1] in retired:
+        raise ValueError(f"route endpoints {nodes[0]!r}/{nodes[-1]!r} may not be retiring UAVs")
+    runs, previous = 0, False
+    for node in nodes:
+        here = node in retired
+        runs += here and not previous  # a run starts at a retiring relay after one in service
+        previous = here
+    return runs
+
+
 def rule_counts_from_route(route, retired) -> RuleCounts:
     """Rule changes needed to detour a route around its retiring relays.
 
@@ -118,19 +130,34 @@ def rule_counts_from_route(route, retired) -> RuleCounts:
     if len(nodes) < 2 or len(set(nodes)) != len(nodes):
         raise ValueError(f"route must contain at least two distinct nodes, got {nodes!r}")
     retired = set(retired)
-    if nodes[0] in retired or nodes[-1] in retired:
-        raise ValueError(f"route endpoints {nodes[0]!r}/{nodes[-1]!r} may not be retiring UAVs")
-    hits = 0
-    runs = 0
-    previous_retired = False
-    for node in nodes:
-        here = node in retired
-        if here:
-            hits += 1
-            if not previous_retired:
-                runs += 1
-        previous_retired = here
-    return RuleCounts(r_del=hits, r_ins=hits, r_mod=runs)
+    hits = len(retired.intersection(nodes))
+    return RuleCounts(r_del=hits, r_ins=hits, r_mod=_runs(nodes, retired))
+
+
+def _check_powers(powers) -> None:
+    """ValueError unless every hover power is finite and non-negative."""
+    for j, power in enumerate(powers):
+        if not (math.isfinite(power) and power >= 0):
+            raise ValueError(f"UAV {j}: hover_power must be non-negative, got {power!r}")
+
+
+def _check_flow(i: int, flow: FlowSpec, m: int, timings: RuleTimings) -> None:
+    """ValueError, naming flow ``i``, unless the flow fits an instance of m UAVs under ``timings``."""
+    if not flow.retired_set:
+        raise ValueError(f"flow {i} crosses no retiring UAV and does not belong in an instance")
+    for j in flow.retired_set:
+        if not (isinstance(j, int) and 0 <= j < m):
+            raise ValueError(f"flow {i} references unknown UAV ids {sorted(flow.retired_set)}")
+    t = flow.handover_time
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"flow {i} needs a positive handover time, got {t!r}")
+    counts = flow.rule_counts
+    if counts is not None:
+        expected = handover_time(counts, timings)
+        if abs(t - expected) > 1e-9 * max(1.0, abs(expected)):
+            raise ValueError(
+                f"flow {i}: handover_time {t} does not match its rule counts under the instance timings ({expected})"
+            )
 
 
 @dataclass(frozen=True)
@@ -139,7 +166,8 @@ class ReplacementInstance:
 
     Identifiers are positions (flow i is flows[i], UAV j has power powers[j]).
     Each flow lists the retiring UAVs it crosses; the dual view, the flows
-    pinning each UAV, is derived from those lists.
+    pinning each UAV, is derived from those lists.  __post_init__ checks the
+    powers and flows; build_instance checks them once per cache and skips it.
     """
 
     flows: tuple[FlowSpec, ...]
@@ -147,32 +175,12 @@ class ReplacementInstance:
     timings: RuleTimings = DEFAULT_TIMINGS
 
     def __post_init__(self):
-        m = len(self.powers)
-        for j, power in enumerate(self.powers):
-            if not (math.isfinite(power) and power >= 0):
-                raise ValueError(f"UAV {j}: hover_power must be non-negative, got {power!r}")
-        timings = self.timings
+        _check_powers(self.powers)
         checked = set()  # a FlowSpec is frozen and m and timings are fixed: each object is checked once
         for i, flow in enumerate(self.flows):
-            if id(flow) in checked:
-                continue
-            checked.add(id(flow))
-            if not flow.retired_set:
-                raise ValueError(f"flow {i} crosses no retiring UAV and does not belong in an instance")
-            for j in flow.retired_set:
-                if not (isinstance(j, int) and 0 <= j < m):
-                    raise ValueError(f"flow {i} references unknown UAV ids {sorted(flow.retired_set)}")
-            t = flow.handover_time
-            if not (math.isfinite(t) and t > 0):
-                raise ValueError(f"flow {i} needs a positive handover time, got {t!r}")
-            counts = flow.rule_counts
-            if counts is not None:
-                expected = handover_time(counts, timings)
-                if abs(t - expected) > 1e-9 * max(1.0, abs(expected)):
-                    raise ValueError(
-                        f"flow {i}: handover_time {t} does not match "
-                        f"its rule counts under the instance timings ({expected})"
-                    )
+            if id(flow) not in checked:
+                checked.add(id(flow))
+                _check_flow(i, flow, len(self.powers), self.timings)
 
     @property
     def n(self) -> int:
@@ -202,6 +210,13 @@ class ReplacementInstance:
             RetiredUav(id=j, hover_power=power, flow_set=frozenset(members))
             for j, (power, members) in enumerate(zip(self.powers, self.flow_sets))
         )
+
+
+def _checked_instance(flows, powers, timings: RuleTimings) -> ReplacementInstance:
+    """The instance of powers and flow objects that passed their checks under ``timings``, without __post_init__."""
+    instance = object.__new__(ReplacementInstance)
+    instance.__dict__.update(flows=flows, powers=powers, timings=timings)
+    return instance
 
 
 def instance_from_parts(times, deltas, powers, timings: RuleTimings = DEFAULT_TIMINGS) -> ReplacementInstance:
@@ -290,9 +305,7 @@ class InstanceBuild:
     instance: ReplacementInstance
 
 
-# build_instance keeps the retiring set and timings a cache was filled for,
-# and what it derived from them, under this key
-_FILLED_FOR = object()
+_FILLED_FOR = object()  # the key of a cache's snapshot in build_instance
 
 
 def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, cache=None) -> InstanceBuild:
@@ -304,40 +317,44 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
     order, and UAV j is the j-th retiring UAV in ascending id order.  With
     no retiring UAV the instance is empty, also when no flow is given.
 
+    A crossing route's type (its dense set of retiring UAVs and number of
+    runs of them) fixes its FlowSpec.  Checks run in the uncached order, by
+    __post_init__'s helpers: each flow's id and route, the powers, each new
+    type at its first flow's index; the instance then skips __post_init__.
+
     ``cache``, a dict the caller creates empty and passes to every call with
     the same retiring set and timings, maps each route that crosses the
     retiring set to its FlowSpec; a route that misses it is never stored and
-    is checked on every sight.  A crossing route is checked once, when its
-    entry is made.  Equal FlowSpecs are interned in the same dict, so
-    routes that derive equal flows, and every build that sees them, share
-    one FlowSpec object.  The cache remembers the retiring set (sorted by
-    id) and timings it was filled for, with the id set and the dense id
-    map derived from them.  A call whose retiring set, snapshotted by
-    value, and timings equal those reuses the two; any other call sorts and
-    checks its own set, and raises ValueError unless it equals the
-    remembered one.  The powers are always the call's own.
+    is checked on every sight.  It keeps a snapshot by value of the retiring
+    set (sorted by id) and timings, with the id set, dense id map and flow
+    types, so routes of one type share one FlowSpec object in every build.
+    The snapshot, a type and a route are stored only once their checks
+    pass, so each is checked once per cache.  A call whose retiring set and
+    timings equal the snapshot's reuses it; any other call sorts and checks
+    its own set, and raises ValueError unless it equals the snapshot.  The
+    powers are always the call's own.
     """
     given = (tuple(map(tuple, retired_uavs)), timings)
     filled = None if cache is None else cache.get(_FILLED_FOR)
     if filled is not None and filled[0] == given:
         retired_uavs = given[0]
-        _, retired_ids, dense_of_uav = filled
+        _, retired_ids, dense_of_uav, types = filled
     else:
         retired_uavs = sorted(given[0], key=lambda item: item[0])
         uav_original = tuple(uid for uid, _ in retired_uavs)
         retired_ids = set(uav_original)
         if len(retired_ids) != len(uav_original):
             raise ValueError(f"retiring UAV ids must be unique, got {list(uav_original)!r}")
-        if cache is None:
-            cache = {}
+        cache = {} if cache is None else cache
         filled_for = (tuple(retired_uavs), timings)
         if filled is not None and filled[0] != filled_for:
             raise ValueError("route cache was filled for another retiring set or other timings")
         dense_of_uav = {uid: j for j, uid in enumerate(uav_original)}
-        if filled is None:
-            cache[_FILLED_FOR] = (filled_for, retired_ids, dense_of_uav)
+        types = {} if filled is None else filled[3]
     seen_fids = set()
     specs = []
+    routes = {}  # the crossing routes first seen in this call
+    fresh = {}  # type key -> (index of its first flow, FlowSpec) of the types new in this call
     for fid, route in flows:
         if fid in seen_fids:
             raise ValueError(f"duplicate flow id {fid!r}")
@@ -350,13 +367,21 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
             hit = retired_ids.intersection(nodes)
             if not hit:
                 continue
-            counts = rule_counts_from_route(nodes, retired_ids)
-            spec = FlowSpec(handover_time(counts, timings), frozenset(dense_of_uav[u] for u in hit), counts)
-            spec = cache[nodes] = cache.setdefault(spec, spec)
+            key = (frozenset(map(dense_of_uav.get, hit)), _runs(nodes, retired_ids))
+            if key not in types and key not in fresh:
+                counts = RuleCounts(len(hit), len(hit), key[1])
+                fresh[key] = len(specs), FlowSpec(handover_time(counts, timings), key[0], counts)
+            spec = routes[nodes] = types[key] if key in types else fresh[key][1]
         specs.append(spec)
     powers = tuple(power for _, power in retired_uavs)  # this call's: an equal 10 and 10.0 print apart
-    instance = ReplacementInstance(flows=tuple(specs), powers=powers, timings=timings)
-    return InstanceBuild(instance=instance)
+    if filled is None:
+        _check_powers(powers)
+        cache[_FILLED_FOR] = (filled_for, retired_ids, dense_of_uav, types)
+    for i, spec in fresh.values():
+        _check_flow(i, spec, len(powers), timings)
+    types.update((key, spec) for key, (_, spec) in fresh.items())
+    cache.update(routes)
+    return InstanceBuild(instance=_checked_instance(tuple(specs), powers, timings))
 
 
 def flow_to_json(fid: int, flow: FlowSpec) -> dict:

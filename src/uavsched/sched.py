@@ -92,11 +92,16 @@ def heuristic_schedule(instance: ReplacementInstance) -> SolverResult:
 
 
 def random_schedule(instance: ReplacementInstance, seed: int) -> SolverResult:
-    """Uniformly random handover order from the given seed."""
+    """Uniformly random handover order, the one ``random.Random(seed).shuffle`` gives on CPython 3.10-3.13."""
     start = time.perf_counter()
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     order = list(range(instance.n))
-    rng.shuffle(order)
+    for i in reversed(range(1, instance.n)):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
     return _result(instance, order, "random", start)
 
 

@@ -454,12 +454,20 @@ def samples_fingerprint(config: ExperimentConfig) -> str:
     [
         ("desk.json", {}, "ab6a45c8f8c467d35c9e644ff5b993eb5384e49196ef54d2f52d0a1785629802"),
         ("full_sweep.json", {"iterations": 3}, "cc137b147ab11f4db2f08c77fbc9c3814bef9bb2ae7e73fea660ddfcd644fe62"),
+        (
+            "full_sweep.json",
+            {"iterations": 3, "resample_retired_per_iteration": True},
+            "e158c4e6fc8d80c6ce7c21c398772188178cf6d418ce1016f421d3f899f55c35",
+        ),
     ],
-    ids=["desk", "full_sweep-3-iterations"],
+    ids=["desk", "full_sweep-3-iterations", "full_sweep-3-iterations-resampled"],
 )
 def test_every_sample_has_the_bits_recorded_before_the_flow_side_energy(name, overrides, sha256):
     # the CSV's 9 digits cannot see a change in the last bit of an energy;
-    # recorded on the code that took each C_j as the maximum over the UAV's flows
+    # recorded on the code that took each C_j as the maximum over the UAV's
+    # flows, and the resampled row, where every build starts an empty route
+    # cache, on the code that made a FlowSpec per new route and checked
+    # every instance in ReplacementInstance.__post_init__
     assert samples_fingerprint(script_config(name, **overrides)) == sha256
 
 
@@ -606,6 +614,37 @@ class TestCellMemo:
         run_experiment(script_config("full_sweep.json", n_flows_list=(70,), m_list=(10,)))
         assert len(rendered) == len(flows) > 1
         assert set(rendered) == flows
+
+    @pytest.mark.parametrize("resample", [False, True], ids=["fixed-retiring-set", "resampled-retiring-sets"])
+    def test_each_flow_type_and_the_powers_are_checked_once_per_cache(self, monkeypatch, resample):
+        # a paper-scale cell builds its instances without __post_init__:
+        # each distinct FlowSpec is checked when its type is stored, the
+        # powers when the cache's snapshot is
+        checked = {"_check_flow": [], "_check_powers": []}
+        for name, seen in checked.items():
+
+            def counted(*args, check=getattr(model, name), seen=seen):
+                seen.append(args)
+                return check(*args)
+
+            monkeypatch.setattr(model, name, counted)
+        builds = []
+        build = experiment.build_instance
+
+        def recorded(routes, uavs, timings, cache):
+            result = build(routes, uavs, timings, cache=cache)
+            builds.append((cache, result.instance))
+            return result
+
+        monkeypatch.setattr(experiment, "build_instance", recorded)
+        config = script_config("full_sweep.json", n_flows_list=(100,), m_list=(10,), resample_retired_per_iteration=resample)
+        run_experiment(config)
+        caches = {id(cache) for cache, _ in builds}
+        types = {(id(cache), flow) for cache, instance in builds for flow in instance.flows}
+        assert len(caches) == (config.iterations if resample else 1)
+        assert len(types) > len(caches)
+        assert len(checked["_check_powers"]) == len(caches)
+        assert sorted(map(id, (flow for _, flow, _, _ in checked["_check_flow"]))) == sorted(id(flow) for _, flow in types)
 
     @pytest.mark.parametrize("resample", [False, True], ids=["fixed-retiring-set", "resampled-retiring-sets"])
     def test_route_cache_lives_as_long_as_the_retiring_set(self, monkeypatch, resample):

@@ -312,6 +312,47 @@ class TestRouteCache:
                 build_instance([(0, (7, 8, 9)), (1, (7, 8, 7))], uavs, cache=cache)
         assert [key for key in cache if isinstance(key, tuple)] == [(5, 1, 6)]
 
+    @pytest.mark.parametrize("bad", [-3.0, math.nan], ids=["negative", "nan"])
+    def test_a_call_refused_for_its_powers_leaves_the_cache_empty(self, bad):
+        cache = {}
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(f"UAV 0: hover_power must be non-negative, got {bad!r}")):
+                build_instance([(0, (5, 1, 6))], [(1, bad)], cache=cache)
+        assert cache == {}
+        assert build_instance([(0, (5, 1, 6))], [(1, 3.0)], cache=cache) == build_instance([(0, (5, 1, 6))], [(1, 3.0)])
+
+    def test_a_flow_type_refused_by_its_check_is_never_stored(self):
+        # at 5e307 s per rule one retiring relay takes 1.5e308 s, two in one
+        # run 2.5e308 s, which is inf; (9, 2, 1, 4) has the type of (7, 1, 2, 8)
+        timings = RuleTimings(5e307, 5e307, 5e307)
+        uavs = [(1, 10.0), (2, 20.0)]
+        cache = {}
+        for bad in [(7, 1, 2, 8), (9, 2, 1, 4)]:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=re.escape("flow 1 needs a positive handover time, got inf")):
+                    build_instance([(0, (5, 1, 6)), (1, bad), (2, (5, 2, 6))], uavs, timings, cache=cache)
+            good = build_instance([(0, (5, 1, 6)), (2, (5, 2, 6))], uavs, timings, cache=cache).instance
+            assert good.times == (handover_time(RuleCounts(1, 1, 1), timings),) * 2
+            assert math.isfinite(good.times[0])
+            assert [key for key in cache if isinstance(key, tuple)] == [(5, 1, 6), (5, 2, 6)]
+
+    @pytest.mark.parametrize(
+        "flows,uavs,message",
+        [
+            ([(0, (5, 1, 6)), (0, (7, 1, 8))], [(1, 10.0)], "duplicate flow id 0"),
+            ([(0, (5, 1, 6)), (1, (7, 1, 7))], [(1, 10.0)], "flow 1: route must contain at least two distinct nodes"),
+            ([(0, (5, 1, 6)), (1, (7, 1, 8))], [(1, -1.0)], "UAV 0: hover_power must be non-negative"),
+        ],
+        ids=["duplicate-id", "repeated-node", "negative-power"],
+    )
+    def test_each_flow_and_the_powers_are_refused_before_a_new_flow_type(self, flows, uavs, message):
+        # the order of the uncached checks: every flow's id and route, then
+        # the powers, then the flows; (5, 1, 6)'s handover time is inf
+        timings = RuleTimings(1e308, 1e308, 1e308)
+        for cache in (None, {}, {}):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                build_instance(flows, uavs, timings, cache=cache)
+
 
 class TestInstanceInvariants:
     def test_empty_delta_rejected(self):

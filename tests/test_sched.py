@@ -154,6 +154,18 @@ class TestRandomSchedule:
         inst = reference_instance()
         assert random_schedule(inst, seed=9).schedule.order == random_schedule(inst, seed=9).schedule.order
 
+    def test_order_is_the_one_random_shuffle_gives(self):
+        # the swaps are drawn from getrandbits as Random.shuffle draws them;
+        # the sweep's seeds are 64-bit blake2b digests, so large ones are included
+        draw = random.Random(7).getrandbits
+        seeds = [*range(60), *(draw(64) for _ in range(60))]
+        for n in range(65):
+            inst = instance_from_parts((0.02,) * n, ({0},) * n, (10.0,))
+            for seed in seeds:
+                expected = list(range(n))
+                random.Random(seed).shuffle(expected)
+                assert random_schedule(inst, seed).schedule.order == tuple(expected), (n, seed)
+
     def test_roughly_uniform_over_three_flows(self):
         inst = instance_from_parts((0.02, 0.03, 0.04), ({0}, {0}, {0}), (10.0,))
         counts = {}
