@@ -406,11 +406,26 @@ def instance_to_json(instance: ReplacementInstance) -> dict:
     }
 
 
+def _flow_key(entry: dict):
+    """A flow entry's values but its id, or None unless each has its exact
+    JSON type (int UAV ids and rule counts, never a bool; a nonzero int or
+    float ``t_ms``, as a zero prints its sign), so that entries with equal
+    keys parse alike and fail alike."""
+    delta, t, counts = entry.get("delta"), entry.get("t_ms"), entry.get("rule_counts")
+    if "rule_counts" in entry:
+        counts = (counts.get("r_del"), counts.get("r_ins"), counts.get("r_mod")) if type(counts) is dict else (None,)
+    if type(delta) is list and all(type(v) is int for v in (*delta, *(counts or ()))):
+        if "t_ms" not in entry or type(t) in (int, float) and t:
+            return tuple(delta), t, counts
+    return None
+
+
 def instance_from_json(data: dict) -> ReplacementInstance:
     """Parse the abstract-instance JSON form.
 
     Any malformed document, bad timings, rule counts and instance invariants
-    included, is a ValueError.
+    included, is a ValueError.  Flow entries with equal ``_flow_key`` share
+    one FlowSpec, so each distinct flow is parsed and checked once.
     """
     if not isinstance(data, dict):
         raise ValueError("instance JSON must be an object")
@@ -420,8 +435,13 @@ def instance_from_json(data: dict) -> ReplacementInstance:
     if not isinstance(raw_flows, list) or not isinstance(raw_uavs, list):
         raise ValueError("instance JSON needs 'flows' and 'uavs' arrays")
 
-    flows = []
+    flows, specs = [], {}  # specs: _flow_key -> the FlowSpec of the first entry with that key
     for position, entry in enumerate(raw_flows):
+        fid = entry.get("id", position) if type(entry) is dict else None
+        flow_key = _flow_key(entry) if type(fid) is int else None
+        if flow_key in specs:
+            flows.append((fid, specs[flow_key]))
+            continue
         where = f"flow #{position}"
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be an object")
@@ -443,6 +463,8 @@ def instance_from_json(data: dict) -> ReplacementInstance:
             elif counts is None:
                 raise ValueError(f"flow {fid}: needs 't_ms' or 'rule_counts'")
         flows.append((fid, FlowSpec(t, delta_set, counts)))
+        if flow_key is not None:
+            specs[flow_key] = flows[-1][1]
 
     m = len(raw_uavs)
     powers: list[float | None] = [None] * m

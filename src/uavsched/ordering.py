@@ -80,7 +80,8 @@ class IlpModel:
     objective key and fixed pair must put a flow index (1..n) before a UAV
     index (n+1..n+m), every objective coefficient must be finite (an LP
     file has no infinite coefficient), and ``fixed`` must be sorted without
-    repeats; anything else is a ValueError naming the pair.
+    repeats; anything else is a ValueError naming the pair.  A model needs
+    n+m >= 2, so that its objective has a variable to name.
     """
 
     n: int
@@ -90,13 +91,12 @@ class IlpModel:
 
     def __post_init__(self):
         n, size = self.n, self.n + self.m
+        _check_size(n, self.m, capped=False)
         for pair in (*(key for key, _ in self.objective), *self.fixed):
             i, j = pair
             if not (type(i) is int and type(j) is int and 1 <= i <= n < j <= size):
                 raise ValueError(f"pair {pair!r} is not a flow index in 1..{n} before a UAV index in {n + 1}..{size}")
-        for pair, coeff in self.objective:
-            if not math.isfinite(coeff):
-                raise ValueError(f"pair {pair!r} has objective coefficient {coeff!r}, which an LP file cannot hold")
+        _check_finite(self.objective)
         for before, pair in zip(self.fixed, self.fixed[1:]):
             if not before < pair:
                 raise ValueError(f"fixed pairs must be sorted and distinct, but {pair!r} follows {before!r}")
@@ -110,31 +110,44 @@ class IlpModel:
         return self.size * (self.size - 1)
 
 
-def _check_size(n: int, m: int):
-    """InstanceTooLarge past LP_SIZE_CAP elements, which the LP is not built or rendered for."""
-    if n + m > LP_SIZE_CAP:
+def _check_size(n: int, m: int, capped: bool = True):
+    """ValueError below two elements, and, if ``capped``, InstanceTooLarge
+    past LP_SIZE_CAP elements, which the LP is not built or rendered for."""
+    if n + m < 2:
+        raise ValueError(f"ordering model needs at least two elements, got n+m = {n + m}")
+    if capped and n + m > LP_SIZE_CAP:
         raise InstanceTooLarge(f"LP export capped at n+m = {LP_SIZE_CAP}, instance has {n} flows and {m} UAVs")
+
+
+def _check_finite(objective):
+    """ValueError, naming the first pair, unless every objective coefficient is finite."""
+    for pair, coeff in objective:
+        if not math.isfinite(coeff):
+            raise ValueError(f"pair {pair!r} has objective coefficient {coeff!r}, which an LP file cannot hold")
 
 
 def build_ilp(instance: ReplacementInstance) -> IlpModel:
     """Binary program: minimize sum T_i P_j x_ij over flow-before-UAV pairs.
 
-    Past LP_SIZE_CAP elements it raises InstanceTooLarge before anything is built.
+    Past LP_SIZE_CAP elements it raises InstanceTooLarge before anything is
+    built.  Its pairs are valid by construction, so the model skips
+    ``IlpModel.__post_init__`` and only its coefficients are checked.
     """
     n, m = instance.n, instance.m
-    if n + m < 2:
-        raise ValueError(f"ordering model needs at least two elements, got n+m = {n + m}")
     _check_size(n, m)
     times = instance.times
     powers = instance.powers
     objective = tuple(
         ((i + 1, n + 1 + j), times[i] * powers[j]) for i in range(n) for j in range(m)
     )
+    _check_finite(objective)
     # every flow precedes each retiring UAV it crosses
     fixed = tuple(
         sorted((i + 1, n + 1 + j) for i, flow in enumerate(instance.flows) for j in flow.retired_set)
     )
-    return IlpModel(n=n, m=m, objective=objective, fixed=fixed)
+    model = object.__new__(IlpModel)
+    model.__dict__.update(n=n, m=m, objective=objective, fixed=fixed)
+    return model
 
 
 def _template(row) -> tuple[bytes, tuple[int, ...]]:
@@ -162,6 +175,61 @@ def _tri_template(j: int) -> tuple[bytes, tuple[int, ...]]:
     return _template(lambda k: f" tri_\x01_{j}_{k}: x_\x01_{j} + x_{j}_{k} - x_\x01_{k} <= 1\n" if k != j else "")
 
 
+def _tri_pieces(size: int) -> Iterator[bytes]:
+    """The transitivity rows of each leading index i = 1..size, one fresh ``bytes`` piece per i.
+
+    For each digit width w of i, the rows (j, k) of all j, k <= size are cut
+    from the templates once, into one bytearray local to the call, with the
+    placeholder widened to w bytes.  Grouped by the widths of j and k, every
+    row of a group has one length, and i's three places in it follow from
+    the widths.  Each digit of i that differs from the previous i's is
+    written into each group with one strided slice assignment per place.
+    The piece of i joins ``memoryview`` slices of the layout in file order,
+    without the rows of j = i and the row k = i of every j.
+    """
+    # the digit widths of 1..size, each with its first and last index
+    classes = [(w, lo, min(hi, size)) for w, lo, hi in ((1, 1, 9), (2, 10, 99), (3, 100, 999)) if lo <= size]
+    tri = [(memoryview(text), at) for text, at in map(_tri_template, range(1, size + 1))]
+    for c, (w, lo, hi) in enumerate(classes):
+        parts, groups, spans, end = [], [], [[] for _ in range(size)], 0
+        for wj, lo_j, hi_j in classes:
+            for wk, lo_k, hi_k in classes:
+                length = 30 + 3 * (w + wj + wk)  # a row holds each of i, j and k three times
+                rows = (hi_k - lo_k + 1 - (lo_j == lo_k)) * length  # bytes per j, whose k = j row is empty
+                start = end
+                for j in range(lo_j, hi_j + 1):
+                    text, at = tri[j - 1]
+                    parts.append(text[at[lo_k - 1] : at[hi_k]])
+                    spans[j - 1].append((end, end + rows, length))
+                    end += rows
+                if end > start:  # else j and k range over one index, and its k = j row is empty
+                    # i follows " tri_", " tri_i_j_k: x_" and " tri_i_j_k: x_i_j + x_j_k - x_"
+                    places = (5, 11 + w + wj + wk, 23 + 2 * w + 3 * wj + 2 * wk)
+                    groups.append((start, end, length, (end - start) // length, places))
+        layout = bytearray().join(parts)
+        if w > 1:
+            layout = layout.replace(b"\x01", b"\x01" * w)
+        view, last = memoryview(layout), b"\x01" * w
+        # for each j: the views of its rows before the k of width w, where row k = i lies, and after them
+        plan = [([view[s:e] for s, e, _ in js[:c]], *js[c], [view[s:e] for s, e, _ in js[c + 1 :]]) for js in spans]
+        for i in range(lo, hi + 1):
+            name = str(i).encode("ascii")
+            for d in range(w):
+                if name[d] != last[d]:
+                    for start, end, length, count, places in groups:
+                        digits = name[d : d + 1] * count
+                        for place in places:
+                            layout[start + place + d : end : length] = digits
+            last, pieces = name, []
+            for j, (before, s, e, length, after) in enumerate(plan, 1):
+                if j != i:  # the index of row k = i among j's rows drops by one when j < i has width w
+                    cut = s + (i - lo - (lo <= j < i)) * length
+                    pieces += before
+                    pieces += view[s:cut], view[cut + length : e]
+                    pieces += after
+            yield b"".join(pieces)
+
+
 def lp_chunks(model: IlpModel) -> Iterator[bytes]:
     """Render the model in LP file format as ASCII bytes, rows in
     lexicographic index order.
@@ -175,30 +243,26 @@ def lp_chunks(model: IlpModel) -> Iterator[bytes]:
     templates of their family (the transitivity family has one per j),
     which hold the placeholder ``\x01`` where the leading index i goes,
     cover the rows up to LP_SIZE_CAP and are read up to row n+m.  Past the
-    cap it raises InstanceTooLarge before yielding anything.  Transitivity
-    block (i, j) is the template of j with its k = i row left out, as two
-    ``memoryview`` slices; each i joins its blocks and writes i in with one
-    ``bytes.replace``.  Python-level work per model is O((n+m)^2), each row
-    is formatted at most once per process, and the (n+m)^3 bytes are copied
-    by the join and the replace alone, with no text decoded or encoded.
+    cap it raises InstanceTooLarge before yielding anything.  The pair and
+    binary rows write i in with ``bytes.replace``; the transitivity rows
+    write it with strided slice assignments into one layout per digit width
+    of i (``_tri_pieces``).  Python-level work per model is O((n+m)^2), each
+    row is formatted at most once per process, each distinct nonzero
+    objective coefficient is formatted once, and no text is decoded.
     """
     _check_size(model.n, model.m)
     size = model.size
     (pair, pair_at), (binary, binary_at) = _pair_template(), _binary_template()
     names = [str(k).encode("ascii") for k in range(size + 1)]
-    terms = [f"{coeff!r} x_{i}_{j}" for (i, j), coeff in model.objective] or ["0 x_1_2"]
-    tri = [(memoryview(text)[: at[size]], at) for text, at in map(_tri_template, range(1, size + 1))]
+    # equal nonzero floats print alike; zeros (0.0 and -0.0) and other types print one by one
+    reprs = {c: repr(c) for c in {c for _, c in model.objective if type(c) is float and c}}
+    terms = [f"{reprs[c] if type(c) is float and c else repr(c)} x_{i}_{j}" for (i, j), c in model.objective]
+    terms = terms or ["0 x_1_2"]
     yield ("Minimize\n obj:\n   " + "\n   + ".join(terms) + "\nSubject To\n").encode("ascii")
     yield "".join([f" dep_{i}_{j}: x_{i}_{j} = 1\n" for i, j in model.fixed]).encode("ascii")
     pair, binary = pair[: pair_at[size]], binary[: binary_at[size]]
     yield b"".join([pair[pair_at[i] :].replace(b"\x01", names[i]) for i in range(1, size + 1)])
-    for i in range(1, size + 1):
-        parts = []
-        for j, (text, at) in enumerate(tri, 1):
-            if j != i:
-                parts.append(text[: at[i - 1]])
-                parts.append(text[at[i] :])
-        yield b"".join(parts).replace(b"\x01", names[i])
+    yield from _tri_pieces(size)
     yield b"Binary\n" + b"".join(
         [(binary[: binary_at[i - 1]] + binary[binary_at[i] :]).replace(b"\x01", names[i]) for i in range(1, size + 1)]
     )

@@ -123,6 +123,19 @@ class TestGenInstance:
         message = capsys.readouterr().err
         assert "line 1" in message and "column" in message
 
+    def test_a_handover_time_past_the_largest_float_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # 1e308 ms per deleted and per inserted rule: a flow's t_ms overflows
+        # to inf, which the JSON writer refuses
+        net = tmp_path / "net.json"
+        assert main(["gen-network", "--seed", "1", "--out", str(net)]) == 0
+        assert len(json.loads(net.read_text())["uavs"]) == 40
+        out = tmp_path / "inst.json"
+        sample = ["--flows", "20", "--retired", "5", "--seed", "1", "--tau-del-ms", "1e308", "--tau-ins-ms", "1e308"]
+        capsys.readouterr()
+        assert main(["gen-instance", "--network", str(net), *sample, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: not writing {out}: Out of range float values")
+        assert [p.name for p in tmp_path.iterdir()] == ["net.json"]
+
 
 class TestSchedule:
     def test_exact_on_reference_instance(self, tmp_path, reference_file):

@@ -28,7 +28,7 @@ from uavsched.model import (
     instance_to_json,
     rule_counts_from_route,
 )
-from uavsched import netgen
+from uavsched import model, netgen
 from uavsched.netgen import NetworkParams, generate_network, sample_flow_routes, sample_retired_set
 from uavsched.sched import brute_force_schedule
 
@@ -626,6 +626,59 @@ class TestInstanceJson:
     def test_ids_must_be_unique_dense_and_known(self, flows, uavs, message):
         with pytest.raises(ValueError, match=message):
             instance_from_json({"flows": flows, "uavs": uavs})
+
+    SHARED_ENTRY = {"t_ms": 20, "rule_counts": {"r_del": 1, "r_ins": 1, "r_mod": 1}, "delta": [1, 0]}
+
+    def shared_doc(self, *tail, shared=SHARED_ENTRY):
+        """Three flow entries equal to ``shared``, then the entries of ``tail``."""
+        flows = [{"id": i, **shared} for i in range(3)]
+        flows += [{"id": 3 + k, **entry} for k, entry in enumerate(tail)]
+        return {"flows": flows, "uavs": [{"id": 0, "p_watts": 1.0}, {"id": 1, "p_watts": 2.0}]}
+
+    def test_identical_flow_entries_share_one_flow_checked_once(self):
+        checked = []
+        check = model._check_flow
+        with patch.object(model, "_check_flow", lambda i, *rest: checked.append(i) or check(i, *rest)):
+            inst = instance_from_json(self.shared_doc({**self.SHARED_ENTRY, "t_ms": 20.0}, {"t_ms": 20, "delta": [0, 1]}))
+        assert inst.flows[0] is inst.flows[1] is inst.flows[2] is inst.flows[3]
+        assert inst.flows[4] is not inst.flows[0] and inst.flows[4].rule_counts is None
+        assert checked == [0, 4]
+        assert inst.times == (0.020,) * 5 and inst.uavs[0].flow_set == frozenset(range(5))
+
+    @pytest.mark.parametrize(
+        "shared, change, message",
+        [
+            # True == 1, so each of the first three would share the flow of the entries before it
+            ({"t_ms": 20, "delta": [1, 0]}, {"delta": [True, 0]}, r"flow #3 delta: expected int, got True"),
+            ({"t_ms": 1, "delta": [0]}, {"t_ms": True}, r"flow #3 t_ms: expected float, got True"),
+            (SHARED_ENTRY, {"rule_counts": {"r_del": True, "r_ins": 1, "r_mod": 1}}, r"flow #3 r_del: expected int, got True"),
+            (SHARED_ENTRY, {"rule_counts": {"r_del": 1, "r_ins": 1, "r_mod": 3}}, r"flow 3: handover_time 0\.02 does not match"),
+            (SHARED_ENTRY, {"rule_counts": {"r_del": 1, "r_ins": 1}}, r"flow #3: missing field 'r_mod'"),
+            (SHARED_ENTRY, {"t_ms": math.inf}, r"flow #3 t_ms: expected a finite number, got inf"),
+            (SHARED_ENTRY, {"t_ms": None}, r"flow #3 t_ms: expected float, got None"),
+            (SHARED_ENTRY, {"delta": [1, 0, 2]}, r"flow 3 references unknown UAV ids \[0, 1, 2\]"),
+        ],
+        ids=["delta-true", "t_ms-true", "count-true", "count-contradicts-t_ms", "count-missing", "t_ms-inf", "t_ms-null", "delta-unknown"],
+    )
+    def test_a_bad_entry_after_identical_good_ones_raises_its_own_message(self, shared, change, message):
+        with pytest.raises(ValueError, match=message):
+            instance_from_json(self.shared_doc({**shared, **change}, shared=shared))
+
+    def test_a_zero_t_ms_is_refused_with_its_own_sign(self):
+        # 0 and -0.0 are equal, but flow 0, which comes second in the file, is refused first
+        flows = [{"id": 1, "t_ms": 0, "delta": [0]}, {"id": 0, "t_ms": -0.0, "delta": [0]}]
+        with pytest.raises(ValueError, match=r"flow 0 needs a positive handover time, got -0\.0$"):
+            instance_from_json({"flows": flows, "uavs": [{"id": 0, "p_watts": 1.0}]})
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"delta": [1.0, 0]}, {"rule_counts": {"r_del": 1.0, "r_ins": 1, "r_mod": 1}}, {"id": 3.0}],
+        ids=["delta-float", "count-float", "id-float"],
+    )
+    def test_an_integral_float_after_identical_ints_is_read_as_the_int(self, change):
+        inst = instance_from_json(self.shared_doc({**self.SHARED_ENTRY, **change}))
+        assert inst.flows[3] == inst.flows[0]
+        assert inst == instance_from_json(self.shared_doc(self.SHARED_ENTRY))
 
     def test_mistyped_timing_raises_value_error(self):
         doc = {"timings": {"tau_ins_ms": None}, "flows": [{"id": 0, "t_ms": 10, "delta": [0]}], "uavs": [{"p_watts": 1.0}]}

@@ -254,6 +254,18 @@ class TestBuildIlp:
         with pytest.raises(ValueError, match="ordering model needs at least two elements, got n\\+m = 0"):
             build_ilp(instance_from_parts((), (), ()))
 
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (0, 1)])
+    def test_a_model_of_fewer_than_two_elements_rejected(self, n, m):
+        # the objective of such a model would name x_1_2, which no row declares
+        with pytest.raises(ValueError, match=re.escape(f"ordering model needs at least two elements, got n+m = {n + m}")):
+            IlpModel(n=n, m=m, objective=(), fixed=())
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_the_built_model_passes_the_checks_it_skips(self, seed):
+        ilp = build_ilp(random_instance(random.Random(seed)))
+        assert IlpModel(n=ilp.n, m=ilp.m, objective=ilp.objective, fixed=ilp.fixed) == ilp
+
 
 class TestExportLp:
     def test_singleton_file_content(self, tmp_path):
@@ -282,8 +294,11 @@ class TestExportLp:
             build_ilp(reference_instance()),
             build_ilp(instance_from_parts((), (), (50.0, 60.0))),  # empty objective: 0 x_1_2
             IlpModel(n=3, m=0, objective=(), fixed=()),
+            # -0.0 and 0.0 are equal but print apart, as do 2 and 2.0
+            IlpModel(n=2, m=2, objective=(((1, 3), 0.0), ((1, 4), -0.0), ((2, 3), 2), ((2, 4), 2.0)), fixed=()),
+            IlpModel(n=2, m=2, objective=(((1, 3), -0.0), ((1, 4), 0.0), ((2, 3), 2.0), ((2, 4), 2)), fixed=()),
         ],
-        ids=["singleton", "worked-example", "no-flows", "no-uavs"],
+        ids=["singleton", "worked-example", "no-flows", "no-uavs", "signed-zeros", "signed-zeros-reversed"],
     )
     def test_text_matches_the_row_by_row_renderer(self, model):
         assert_same_text(model)
@@ -300,7 +315,9 @@ class TestExportLp:
         assert_same_text(model)
 
     @pytest.mark.parametrize(
-        "n, m", [(6, 3), (7, 3), (8, 3), (92, 9)], ids=["size-9", "size-10", "size-11", "size-101"]
+        "n, m",
+        [(6, 3), (7, 3), (8, 3), (90, 9), (91, 9), (92, 9)],
+        ids=["size-9", "size-10", "size-11", "size-99", "size-100", "size-101"],
     )
     def test_text_matches_the_row_by_row_renderer_where_index_widths_change(self, n, m):
         assert_same_text(random_model(n, m, seed=n + m))
