@@ -91,12 +91,15 @@ class IlpModel:
 
     def __post_init__(self):
         n, size = self.n, self.n + self.m
-        _check_size(n, self.m, capped=False)
+        if size < 2:
+            raise ValueError(f"ordering model needs at least two elements, got n+m = {size}")
         for pair in (*(key for key, _ in self.objective), *self.fixed):
             i, j = pair
             if not (type(i) is int and type(j) is int and 1 <= i <= n < j <= size):
                 raise ValueError(f"pair {pair!r} is not a flow index in 1..{n} before a UAV index in {n + 1}..{size}")
-        _check_finite(self.objective)
+        for pair, coeff in self.objective:
+            if not math.isfinite(coeff):
+                raise ValueError(f"pair {pair!r} has objective coefficient {coeff!r}, which an LP file cannot hold")
         for before, pair in zip(self.fixed, self.fixed[1:]):
             if not before < pair:
                 raise ValueError(f"fixed pairs must be sorted and distinct, but {pair!r} follows {before!r}")
@@ -110,28 +113,16 @@ class IlpModel:
         return self.size * (self.size - 1)
 
 
-def _check_size(n: int, m: int, capped: bool = True):
-    """ValueError below two elements, and, if ``capped``, InstanceTooLarge
-    past LP_SIZE_CAP elements, which the LP is not built or rendered for."""
-    if n + m < 2:
-        raise ValueError(f"ordering model needs at least two elements, got n+m = {n + m}")
-    if capped and n + m > LP_SIZE_CAP:
+def _check_size(n: int, m: int):
+    """InstanceTooLarge past LP_SIZE_CAP elements, which the LP is not built or rendered for."""
+    if n + m > LP_SIZE_CAP:
         raise InstanceTooLarge(f"LP export capped at n+m = {LP_SIZE_CAP}, instance has {n} flows and {m} UAVs")
-
-
-def _check_finite(objective):
-    """ValueError, naming the first pair, unless every objective coefficient is finite."""
-    for pair, coeff in objective:
-        if not math.isfinite(coeff):
-            raise ValueError(f"pair {pair!r} has objective coefficient {coeff!r}, which an LP file cannot hold")
 
 
 def build_ilp(instance: ReplacementInstance) -> IlpModel:
     """Binary program: minimize sum T_i P_j x_ij over flow-before-UAV pairs.
 
-    Past LP_SIZE_CAP elements it raises InstanceTooLarge before anything is
-    built.  Its pairs are valid by construction, so the model skips
-    ``IlpModel.__post_init__`` and only its coefficients are checked.
+    Past LP_SIZE_CAP elements it raises InstanceTooLarge before anything is built.
     """
     n, m = instance.n, instance.m
     _check_size(n, m)
@@ -140,14 +131,11 @@ def build_ilp(instance: ReplacementInstance) -> IlpModel:
     objective = tuple(
         ((i + 1, n + 1 + j), times[i] * powers[j]) for i in range(n) for j in range(m)
     )
-    _check_finite(objective)
     # every flow precedes each retiring UAV it crosses
     fixed = tuple(
         sorted((i + 1, n + 1 + j) for i, flow in enumerate(instance.flows) for j in flow.retired_set)
     )
-    model = object.__new__(IlpModel)
-    model.__dict__.update(n=n, m=m, objective=objective, fixed=fixed)
-    return model
+    return IlpModel(n=n, m=m, objective=objective, fixed=fixed)
 
 
 def _template(row) -> tuple[bytes, tuple[int, ...]]:
@@ -228,6 +216,7 @@ def _tri_pieces(size: int) -> Iterator[bytes]:
                     pieces += view[s:cut], view[cut + length : e]
                     pieces += after
             yield b"".join(pieces)
+        del layout, view, plan, pieces  # so that no two classes' layouts are held at once
 
 
 def lp_chunks(model: IlpModel) -> Iterator[bytes]:
@@ -247,17 +236,13 @@ def lp_chunks(model: IlpModel) -> Iterator[bytes]:
     binary rows write i in with ``bytes.replace``; the transitivity rows
     write it with strided slice assignments into one layout per digit width
     of i (``_tri_pieces``).  Python-level work per model is O((n+m)^2), each
-    row is formatted at most once per process, each distinct nonzero
-    objective coefficient is formatted once, and no text is decoded.
+    row is formatted at most once per process, and no text is decoded.
     """
     _check_size(model.n, model.m)
     size = model.size
     (pair, pair_at), (binary, binary_at) = _pair_template(), _binary_template()
     names = [str(k).encode("ascii") for k in range(size + 1)]
-    # equal nonzero floats print alike; zeros (0.0 and -0.0) and other types print one by one
-    reprs = {c: repr(c) for c in {c for _, c in model.objective if type(c) is float and c}}
-    terms = [f"{reprs[c] if type(c) is float and c else repr(c)} x_{i}_{j}" for (i, j), c in model.objective]
-    terms = terms or ["0 x_1_2"]
+    terms = [f"{coeff!r} x_{i}_{j}" for (i, j), coeff in model.objective] or ["0 x_1_2"]
     yield ("Minimize\n obj:\n   " + "\n   + ".join(terms) + "\nSubject To\n").encode("ascii")
     yield "".join([f" dep_{i}_{j}: x_{i}_{j} = 1\n" for i, j in model.fixed]).encode("ascii")
     pair, binary = pair[: pair_at[size]], binary[: binary_at[size]]
