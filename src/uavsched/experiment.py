@@ -148,12 +148,12 @@ class _CellMemo:
     build_instance's route cache, which maps each crossing route to its
     FlowSpec and keeps one FlowSpec object per value, so each flow's JSON text
     (FlowSpec.json_parts) is rendered once per cell.  ``uavs`` is the
-    retiring set, sorted by id, that every call passes: build_instance
-    finds it equal by value to the one the cache was filled for and reuses
-    the id set and dense id map it derived on the first call, without
-    sorting or checking the set again.  ``tail``, the text after the flows,
-    is the same for every instance of the cell.  The seed prefixes are
-    per cell, not per retiring set, so they are kept apart from the memo.
+    retiring set, sorted by id, that every call passes: with the timings it
+    keys one cache entry, whose id order and dense id map build_instance
+    derives and checks on the first call only.  ``tail``, the text after
+    the flows, is the same for every instance of the cell.  The seed
+    prefixes are per cell, not per retiring set, so they are kept apart
+    from the memo.
     """
 
     def __init__(self, net, retired):

@@ -106,10 +106,13 @@ def handover_time(counts: RuleCounts, timings: RuleTimings) -> float:
     return counts.r_del * timings.tau_del + counts.r_ins * timings.tau_ins + counts.r_mod * timings.tau_mod
 
 
-def _runs(nodes, retired) -> int:
-    """Maximal runs of retiring relays on a route of distinct nodes; ValueError when an endpoint retires."""
+def _runs(nodes, retired, where: str = "") -> int:
+    """Maximal runs of retiring relays on a route of distinct nodes.
+
+    ValueError, its message led by ``where``, when an endpoint retires.
+    """
     if nodes[0] in retired or nodes[-1] in retired:
-        raise ValueError(f"route endpoints {nodes[0]!r}/{nodes[-1]!r} may not be retiring UAVs")
+        raise ValueError(f"{where}route endpoints {nodes[0]!r}/{nodes[-1]!r} may not be retiring UAVs")
     runs, previous = 0, False
     for node in nodes:
         here = node in retired
@@ -167,7 +170,9 @@ class ReplacementInstance:
     Identifiers are positions (flow i is flows[i], UAV j has power powers[j]).
     Each flow lists the retiring UAVs it crosses; the dual view, the flows
     pinning each UAV, is derived from those lists.  __post_init__ checks the
-    powers and flows; build_instance checks them once per cache and skips it.
+    powers, then each flow in index order; build_instance checks them with
+    the same helpers and in the same order, once per cache entry and flow
+    type, and skips it.
     """
 
     flows: tuple[FlowSpec, ...]
@@ -305,9 +310,6 @@ class InstanceBuild:
     instance: ReplacementInstance
 
 
-_FILLED_FOR = object()  # the key of a cache's snapshot in build_instance
-
-
 def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, cache=None) -> InstanceBuild:
     """Derive a replacement instance from routed flows and a retiring set.
 
@@ -318,69 +320,55 @@ def build_instance(flows, retired_uavs, timings: RuleTimings = DEFAULT_TIMINGS, 
     no retiring UAV the instance is empty, also when no flow is given.
 
     A crossing route's type (its dense set of retiring UAVs and number of
-    runs of them) fixes its FlowSpec.  Checks run in the uncached order, by
-    __post_init__'s helpers: each flow's id and route, the powers, each new
-    type at its first flow's index; the instance then skips __post_init__.
+    runs of them) fixes its FlowSpec.  Checks run in ReplacementInstance's
+    order, by __post_init__'s helpers, in one pass: unique UAV ids and the
+    powers, then flow by flow its id, its route and, for a new type, its
+    FlowSpec at the flow's kept index; the instance then skips __post_init__.
 
-    ``cache``, a dict the caller creates empty and passes to every call with
-    the same retiring set and timings, maps each route that crosses the
-    retiring set to its FlowSpec; a route that misses it is never stored and
-    is checked on every sight.  It keeps a snapshot by value of the retiring
-    set (sorted by id) and timings, with the id set, dense id map and flow
-    types, so routes of one type share one FlowSpec object in every build.
-    The snapshot, a type and a route are stored only once their checks
-    pass, so each is checked once per cache.  A call whose retiring set and
-    timings equal the snapshot's reuses it; any other call sorts and checks
-    its own set, and raises ValueError unless it equals the snapshot.  The
-    powers are always the call's own.
+    ``cache``, a dict the caller may pass to many calls, holds one entry per
+    retiring set (by value, in the call's order) and timings: the set's id
+    order and dense id map, each route that crosses the set and each type,
+    mapped to its FlowSpec, so routes of one type share one FlowSpec object
+    in every build.  An entry, route or type is stored once its own checks
+    pass; a route that misses the set is never stored.  The powers are
+    always the call's own: an equal 10 and 10.0 print apart.
     """
-    given = (tuple(map(tuple, retired_uavs)), timings)
-    filled = None if cache is None else cache.get(_FILLED_FOR)
-    if filled is not None and filled[0] == given:
-        retired_uavs = given[0]
-        _, retired_ids, dense_of_uav, types = filled
-    else:
-        retired_uavs = sorted(given[0], key=lambda item: item[0])
-        uav_original = tuple(uid for uid, _ in retired_uavs)
-        retired_ids = set(uav_original)
-        if len(retired_ids) != len(uav_original):
-            raise ValueError(f"retiring UAV ids must be unique, got {list(uav_original)!r}")
-        cache = {} if cache is None else cache
-        filled_for = (tuple(retired_uavs), timings)
-        if filled is not None and filled[0] != filled_for:
-            raise ValueError("route cache was filled for another retiring set or other timings")
-        dense_of_uav = {uid: j for j, uid in enumerate(uav_original)}
-        types = {} if filled is None else filled[3]
+    given = tuple(map(tuple, retired_uavs))
+    cache = {} if cache is None else cache
+    entry = cache.get((given, timings))
+    if entry is None:
+        ids = [uid for uid, _ in given]  # unpacked, so an item that is no (id, power) pair is refused
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        dense = {ids[k]: j for j, k in enumerate(order)}
+        if len(dense) != len(ids):
+            raise ValueError(f"retiring UAV ids must be unique, got {sorted(ids)!r}")
+        _check_powers(given[k][1] for k in order)
+        entry = cache[given, timings] = (order, dense, {}, {})
+    order, dense, routes, types = entry
+    powers = tuple(given[k][1] for k in order)
     seen_fids = set()
     specs = []
-    routes = {}  # the crossing routes first seen in this call
-    fresh = {}  # type key -> (index of its first flow, FlowSpec) of the types new in this call
     for fid, route in flows:
         if fid in seen_fids:
             raise ValueError(f"duplicate flow id {fid!r}")
         seen_fids.add(fid)
         nodes = tuple(route)
-        spec = cache.get(nodes)
+        spec = routes.get(nodes)
         if spec is None:
             if len(nodes) < 2 or len(set(nodes)) != len(nodes):
                 raise ValueError(f"flow {fid}: route must contain at least two distinct nodes, got {list(nodes)!r}")
-            hit = retired_ids.intersection(nodes)
-            if not hit:
+            delta = frozenset(dense[node] for node in nodes if node in dense)
+            if not delta:
                 continue
-            key = (frozenset(map(dense_of_uav.get, hit)), _runs(nodes, retired_ids))
-            if key not in types and key not in fresh:
-                counts = RuleCounts(len(hit), len(hit), key[1])
-                fresh[key] = len(specs), FlowSpec(handover_time(counts, timings), key[0], counts)
-            spec = routes[nodes] = types[key] if key in types else fresh[key][1]
+            key = (delta, _runs(nodes, dense, f"flow {fid}: "))
+            spec = types.get(key)
+            if spec is None:
+                counts = RuleCounts(len(delta), len(delta), key[1])
+                spec = FlowSpec(handover_time(counts, timings), delta, counts)
+                _check_flow(len(specs), spec, len(powers), timings)
+                types[key] = spec
+            routes[nodes] = spec
         specs.append(spec)
-    powers = tuple(power for _, power in retired_uavs)  # this call's: an equal 10 and 10.0 print apart
-    if filled is None:
-        _check_powers(powers)
-        cache[_FILLED_FOR] = (filled_for, retired_ids, dense_of_uav, types)
-    for i, spec in fresh.values():
-        _check_flow(i, spec, len(powers), timings)
-    types.update((key, spec) for key, (_, spec) in fresh.items())
-    cache.update(routes)
     return InstanceBuild(instance=_checked_instance(tuple(specs), powers, timings))
 
 

@@ -578,7 +578,7 @@ class TestBadValueMessages:
             ),
             (
                 ["gen-instance", "--network", line_network(3, 5.0, retired=[2], flows=[{"id": 0, "route": [0, 1, 2]}])],
-                "route endpoints 0/2 may not be retiring UAVs",
+                "flow 0: route endpoints 0/2 may not be retiring UAVs",
             ),
             (sampled(line_network(2, 0.0), 1, 0), "distance must be positive, got 0.0"),
             (sampled(line_network(3, 5e5), 1, 0), "could not route flow 0 after 1000 attempts; network too sparse"),

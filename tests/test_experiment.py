@@ -459,15 +459,18 @@ def samples_fingerprint(config: ExperimentConfig) -> str:
             {"iterations": 3, "resample_retired_per_iteration": True},
             "e158c4e6fc8d80c6ce7c21c398772188178cf6d418ce1016f421d3f899f55c35",
         ),
+        ("full_sweep.json", {}, "7998bc79f620f816f2ec10622aa5ffc3241465adaaffaa830b8b5fc9d87ae20f"),
     ],
-    ids=["desk", "full_sweep-3-iterations", "full_sweep-3-iterations-resampled"],
+    ids=["desk", "full_sweep-3-iterations", "full_sweep-3-iterations-resampled", "full_sweep"],
 )
 def test_every_sample_has_the_bits_recorded_before_the_flow_side_energy(name, overrides, sha256):
     # the CSV's 9 digits cannot see a change in the last bit of an energy;
     # recorded on the code that took each C_j as the maximum over the UAV's
     # flows, and the resampled row, where every build starts an empty route
     # cache, on the code that made a FlowSpec per new route and checked
-    # every instance in ReplacementInstance.__post_init__
+    # every instance in ReplacementInstance.__post_init__; the paper-scale
+    # row (24 cells, 4800 samples) on the code whose route cache kept a
+    # snapshot of the retiring set it was filled for
     assert samples_fingerprint(script_config(name, **overrides)) == sha256
 
 
@@ -619,7 +622,7 @@ class TestCellMemo:
     def test_each_flow_type_and_the_powers_are_checked_once_per_cache(self, monkeypatch, resample):
         # a paper-scale cell builds its instances without __post_init__:
         # each distinct FlowSpec is checked when its type is stored, the
-        # powers when the cache's snapshot is
+        # powers when the cache's entry for the retiring set is
         checked = {"_check_flow": [], "_check_powers": []}
         for name, seen in checked.items():
 

@@ -172,105 +172,107 @@ class TestBuildInstance:
                 assert uav.id in inst.flows[i].retired_set
 
 
+def stored_routes(cache) -> set:
+    """The routes a build_instance cache holds, over its (id order, dense id map, routes, types) entries."""
+    return {route for _, _, routes, _ in cache.values() for route in routes}
+
+
+# at 5e307 s per rule one retiring relay takes 1.5e308 s, and two in one
+# run (such as 1, 2) take 2.5e308 s, which is inf
+HUGE_TIMINGS = RuleTimings(5e307, 5e307, 5e307)
+TWO_UAVS = [(1, 10.0), (2, 20.0)]
+
+
 class TestRouteCache:
     @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        num_uavs=st.integers(8, 30),
-        m=st.integers(0, 6),
-        timings=st.sampled_from([DEFAULT_TIMINGS, RuleTimings(0.003, 0.007, 0.011)]),
-    )
-    def test_shared_cache_gives_the_uncached_builds(self, seed, num_uavs, m, timings):
+    @given(seed=st.integers(0, 2**32 - 1), num_uavs=st.integers(8, 30), data=st.data())
+    def test_one_cache_across_retiring_sets_and_timings_gives_the_uncached_builds(self, seed, num_uavs, data):
+        # one list of [id, power] items, changed in place for every call,
+        # holds one of three sets in ascending or descending id, its powers
+        # as ints or as equal floats (10 and 10.0 print apart)
         rng = random.Random(seed)
         net = generate_network(NetworkParams(num_uavs=num_uavs, area_side=150.0), seed=seed)
-        retired = sample_retired_set(net, m, rng)
-        uavs = [(u, net.hover_powers[u]) for u in sorted(retired)]
-        cache = {}
-        for _ in range(5):
+        sets = [sorted(sample_retired_set(net, rng.randint(0, 6), rng)) for _ in range(3)]
+        uavs, cache, first = [], {}, {}
+        for _ in range(6):
+            retired = data.draw(st.sampled_from(sets))
+            timings = data.draw(st.sampled_from([DEFAULT_TIMINGS, RuleTimings(0.003, 0.007, 0.011)]))
+            as_int = data.draw(st.booleans())
+            items = [[u, round(net.hover_powers[u]) if as_int else float(round(net.hover_powers[u]))] for u in retired]
+            if data.draw(st.booleans()):
+                items.reverse()
+            del uavs[len(items):]
+            for k, item in enumerate(items):
+                if k < len(uavs):
+                    uavs[k][:] = item
+                else:
+                    uavs.append(item)
             try:
                 with patch.object(netgen, "MAX_ROUTE_ATTEMPTS", 50):
-                    routes = sample_flow_routes(net, retired, rng.randint(1, 40), rng)
+                    routes = sample_flow_routes(net, frozenset(retired), rng.randint(1, 40), rng)
             except ValueError as exc:
                 if not sampling_exhausted(exc):
                     raise
                 return
             # a route given as a list shares its entry with the same route as a tuple
             routes = [(fid, list(route) if fid % 3 == 0 else route) for fid, route in routes]
-            assert build_instance(routes, uavs, timings, cache=cache) == build_instance(routes, uavs, timings)
-
-    def test_reuse_with_another_retiring_set_or_timings_is_refused(self):
-        routes = [(0, (5, 1, 6)), (1, (5, 6))]
-        cache = {}
-        build_instance(routes, [(1, 10.0)], cache=cache)
-        build_instance(routes, [(1, 10.0)], DEFAULT_TIMINGS, cache=cache)
-        for uavs, timings in [
-            ([(2, 10.0)], DEFAULT_TIMINGS),
-            ([(1, 10.0), (2, 10.0)], DEFAULT_TIMINGS),
-            ([(1, 20.0)], DEFAULT_TIMINGS),
-            ([(1, 10.0)], RuleTimings(tau_mod=0.02)),
-        ]:
-            with pytest.raises(ValueError, match="another retiring set or other timings"):
-                build_instance(routes, uavs, timings, cache=cache)
-
-    def test_a_route_with_a_repeated_node_is_rejected_on_first_sight(self):
-        cache = {}
-        build_instance([(0, (5, 1, 6))], [(1, 10.0)], cache=cache)
-        for bad in [(5, 1, 5, 6), (7, 8, 7)]:  # crossing and missing the retiring set
-            for _ in range(2):
-                with pytest.raises(ValueError, match="two distinct nodes"):
-                    build_instance([(0, (5, 1, 6)), (1, bad)], [(1, 10.0)], cache=cache)
-            assert bad not in cache
-
-    def test_duplicate_flow_ids_are_caught_on_cached_routes(self):
-        cache = {}
-        build_instance([(0, (5, 1, 6))], [(1, 10.0)], cache=cache)
-        with pytest.raises(ValueError, match="duplicate flow id"):
-            build_instance([(0, (5, 1, 6)), (0, (5, 1, 6))], [(1, 10.0)], cache=cache)
-
-    def test_a_retiring_set_mutated_in_place_is_compared_again(self):
-        uavs = [(1, 10.0)]
-        cache = {}
-        build_instance([(0, (5, 1, 6))], uavs, cache=cache)
-        uavs[0] = (1, 99.0)
-        with pytest.raises(ValueError, match="another retiring set or other timings"):
-            build_instance([(0, (5, 1, 6))], uavs, cache=cache)
+            cached = build_instance(routes, uavs, timings, cache=cache).instance
+            fresh = build_instance(routes, uavs, timings).instance
+            assert cached == fresh
+            assert json.dumps(instance_to_json(cached)) == json.dumps(instance_to_json(fresh))
+            entry = (tuple(map(tuple, uavs)), timings)
+            for flow in cached.flows:  # within an entry, flows of one type are one object
+                assert first.setdefault((entry, flow), flow) is flow
 
     @pytest.mark.parametrize(
-        "mutate",
+        "flows,uavs,message",
         [
-            lambda uavs: uavs.append([3, 30.0]),
-            lambda uavs: uavs.pop(),
-            lambda uavs: uavs[0].__setitem__(1, 99.0),
-            lambda uavs: uavs[1].__setitem__(0, 4),
+            ([(0, (5, 1, 6))], [(1, 10.0), (2, -3.0)], "UAV 1: hover_power must be non-negative, got -3.0"),
+            ([(0, (5, 1, 6))], [(2, 20.0), (1, math.nan)], "UAV 0: hover_power must be non-negative, got nan"),
+            ([(0, (5, 1, 6))], [(2, 20.0), (1, 10.0), (2, 20.0)], "retiring UAV ids must be unique, got [1, 2, 2]"),
+            (
+                [(0, (5, 1, 6)), (1, (7, 2, 7))],
+                TWO_UAVS,
+                "flow 1: route must contain at least two distinct nodes, got [7, 2, 7]",
+            ),
+            (
+                [(0, (5, 1, 6)), (1, (7, 8, 7))],
+                TWO_UAVS,
+                "flow 1: route must contain at least two distinct nodes, got [7, 8, 7]",
+            ),
+            ([(0, (5, 1, 6)), (1, (2, 7, 8))], TWO_UAVS, "flow 1: route endpoints 2/8 may not be retiring UAVs"),
+            ([(0, (5, 1, 6)), (1, (7, 1, 2, 8))], TWO_UAVS, "flow 1 needs a positive handover time, got inf"),
+            ([(0, (5, 1, 6)), (0, (5, 1, 6))], TWO_UAVS, "duplicate flow id 0"),
         ],
-        ids=["item-appended", "item-removed", "power-changed-inside-an-item", "id-changed-inside-an-item"],
+        ids=[
+            "negative-power", "nan-power", "repeated-uav-id", "repeated-node", "repeated-node-missing-the-set",
+            "retired-endpoint", "type-whose-time-is-inf", "duplicate-flow-id",
+        ],
     )
-    def test_a_list_mutated_in_place_between_two_calls_is_refused(self, mutate):
-        # the cache keeps a snapshot of the set by value, not the list
-        uavs = [[1, 10.0], [2, 20.0]]
-        routes = [(0, (5, 1, 6)), (1, (7, 2, 8))]
+    def test_a_refused_call_leaves_a_cache_that_builds_as_a_fresh_one(self, flows, uavs, message):
+        # refused twice, so nothing the first refusal stored lets it pass; a
+        # good call on the same ids comes first, so a bad power is checked
+        # although its ids have an entry
+        good = [(0, (7, 2, 8)), (1, (5, 1, 6)), (2, (5, 6)), (3, [9, 2, 4])]
         cache = {}
-        build_instance(routes, uavs, cache=cache)
-        build_instance(routes, uavs, cache=cache)
-        mutate(uavs)
-        with pytest.raises(ValueError, match="^route cache was filled for another retiring set or other timings$"):
-            build_instance(routes, uavs, cache=cache)
+        build_instance(good, TWO_UAVS, HUGE_TIMINGS, cache=cache)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build_instance(flows, uavs, HUGE_TIMINGS, cache=cache)
+        built = build_instance(good, TWO_UAVS, HUGE_TIMINGS, cache=cache).instance
+        assert built == build_instance(good, TWO_UAVS, HUGE_TIMINGS, cache={}).instance
+        assert built.times == (handover_time(RuleCounts(1, 1, 1), HUGE_TIMINGS),) * 3
+        assert (7, 2, 7) not in stored_routes(cache) and (7, 8, 7) not in stored_routes(cache)
 
-    def test_an_equal_set_in_another_order_is_accepted_and_other_timings_or_repeated_ids_are_not(self):
-        routes = [(0, (5, 1, 6)), (1, (7, 2, 8)), (2, (7, 2, 1, 8))]
+    @pytest.mark.parametrize("item", [(1,), (1, 10.0, 3)], ids=["one-value", "three-values"])
+    def test_an_item_that_is_no_id_power_pair_is_refused(self, item):
         cache = {}
-        first = build_instance(routes, [(1, 10.0), (2, 20.0)], cache=cache).instance
-        again = build_instance(routes, ((2, 20.0), (1, 10.0)), cache=cache).instance
-        assert again == first == build_instance(routes, ((2, 20.0), (1, 10.0))).instance
-        assert all(a is b for a, b in zip(again.flows, first.flows))
-        for uavs in ([(1, 10.0), (2, 20.0)], ((2, 20.0), (1, 10.0))):
-            with pytest.raises(ValueError, match="^route cache was filled for another retiring set or other timings$"):
-                build_instance(routes, uavs, RuleTimings(tau_del=0.004), cache=cache)
-        with pytest.raises(ValueError, match=re.escape("retiring UAV ids must be unique, got [1, 1, 2]")):
-            build_instance(routes, [(2, 20.0), (1, 10.0), (1, 10.0)], cache=cache)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="values to unpack"):
+                build_instance([(0, (5, 1, 6))], [(2, 20.0), item], cache=cache)
 
     def test_each_call_keeps_its_own_powers(self):
-        # 10 == 10.0, so both pass the comparison, but the instance JSON
+        # 10 == 10.0, so both find one cache entry, but the instance JSON
         # prints them apart; a cached build must print as the uncached one
         routes = [(0, (5, 1, 6))]
         cache = {}
@@ -281,77 +283,59 @@ class TestRouteCache:
 
     def test_routes_that_derive_equal_flows_share_one_flow_spec(self):
         # each route crosses UAV 1 alone, as one run of one relay
-        uavs = [(1, 10.0), (2, 20.0)]
         cache = {}
-        first = build_instance([(0, (5, 1, 6)), (1, (7, 1, 8)), (2, (7, 2, 8))], uavs, cache=cache).instance
+        first = build_instance([(0, (5, 1, 6)), (1, (7, 1, 8)), (2, (7, 2, 8))], TWO_UAVS, cache=cache).instance
         assert first.flows[1] is first.flows[0]
         assert first.flows[2] is not first.flows[0]
-        second = build_instance([(3, (9, 1, 4)), (4, (5, 1, 6))], uavs, cache=cache).instance
+        second = build_instance([(3, (9, 1, 4)), (4, (5, 1, 6))], TWO_UAVS, cache=cache).instance
         assert second.flows[0] is first.flows[0]
         assert second.flows[1] is first.flows[0]
-        assert cache[(9, 1, 4)] is first.flows[0]
 
     def test_a_repeated_route_shares_one_flow_spec(self):
-        uavs = [(1, 10.0), (2, 20.0)]
         cache = {}
-        first = build_instance([(0, (5, 1, 6)), (1, (7, 2, 1, 8))], uavs, cache=cache).instance
-        second = build_instance([(4, (7, 2, 1, 8)), (9, (5, 6)), (3, [5, 1, 6])], uavs, cache=cache).instance
+        first = build_instance([(0, (5, 1, 6)), (1, (7, 2, 1, 8))], TWO_UAVS, cache=cache).instance
+        second = build_instance([(4, (7, 2, 1, 8)), (9, (5, 6)), (3, [5, 1, 6])], TWO_UAVS, cache=cache).instance
         assert second.flows[0] is first.flows[1]
         assert second.flows[1] is first.flows[0]
-        assert cache[(5, 1, 6)] is first.flows[0]
-        assert (5, 6) not in cache
+
+    def test_an_equal_set_in_another_order_or_under_other_timings_has_its_own_flow_specs(self):
+        routes = [(0, (5, 1, 6)), (1, (7, 2, 8)), (2, (7, 2, 1, 8))]
+        cache = {}
+        first = build_instance(routes, TWO_UAVS, cache=cache).instance
+        for uavs, timings in [(TWO_UAVS[::-1], DEFAULT_TIMINGS), (TWO_UAVS, RuleTimings(tau_del=0.004))]:
+            other = build_instance(routes, uavs, timings, cache=cache).instance
+            assert other == build_instance(routes, uavs, timings).instance
+            assert not any(a is b for a, b in zip(other.flows, first.flows))
+        again = build_instance(routes, [list(item) for item in TWO_UAVS], cache=cache).instance
+        assert all(a is b for a, b in zip(again.flows, first.flows))
 
     def test_a_route_that_misses_the_retiring_set_is_never_stored(self):
-        uavs = [(1, 10.0), (2, 20.0)]
         cache = {}
         # first sight and repeats in one call, then in a later call
-        assert build_instance([(0, (5, 6)), (1, (5, 1, 6)), (2, (5, 6)), (3, [5, 6])], uavs, cache=cache).instance.n == 1
-        assert build_instance([(0, (5, 6)), (1, (7, 8, 9)), (2, (7, 8, 9))], uavs, cache=cache).instance.n == 0
-        for _ in range(2):
-            with pytest.raises(ValueError, match="flow 1: route must contain at least two distinct nodes"):
-                build_instance([(0, (7, 8, 9)), (1, (7, 8, 7))], uavs, cache=cache)
-        assert [key for key in cache if isinstance(key, tuple)] == [(5, 1, 6)]
-
-    @pytest.mark.parametrize("bad", [-3.0, math.nan], ids=["negative", "nan"])
-    def test_a_call_refused_for_its_powers_leaves_the_cache_empty(self, bad):
-        cache = {}
-        for _ in range(2):
-            with pytest.raises(ValueError, match=re.escape(f"UAV 0: hover_power must be non-negative, got {bad!r}")):
-                build_instance([(0, (5, 1, 6))], [(1, bad)], cache=cache)
-        assert cache == {}
-        assert build_instance([(0, (5, 1, 6))], [(1, 3.0)], cache=cache) == build_instance([(0, (5, 1, 6))], [(1, 3.0)])
-
-    def test_a_flow_type_refused_by_its_check_is_never_stored(self):
-        # at 5e307 s per rule one retiring relay takes 1.5e308 s, two in one
-        # run 2.5e308 s, which is inf; (9, 2, 1, 4) has the type of (7, 1, 2, 8)
-        timings = RuleTimings(5e307, 5e307, 5e307)
-        uavs = [(1, 10.0), (2, 20.0)]
-        cache = {}
-        for bad in [(7, 1, 2, 8), (9, 2, 1, 4)]:
-            for _ in range(2):
-                with pytest.raises(ValueError, match=re.escape("flow 1 needs a positive handover time, got inf")):
-                    build_instance([(0, (5, 1, 6)), (1, bad), (2, (5, 2, 6))], uavs, timings, cache=cache)
-            good = build_instance([(0, (5, 1, 6)), (2, (5, 2, 6))], uavs, timings, cache=cache).instance
-            assert good.times == (handover_time(RuleCounts(1, 1, 1), timings),) * 2
-            assert math.isfinite(good.times[0])
-            assert [key for key in cache if isinstance(key, tuple)] == [(5, 1, 6), (5, 2, 6)]
+        for flows, kept in [([(0, (5, 6)), (1, (5, 1, 6)), (2, (5, 6)), (3, [5, 6])], 1), ([(0, (5, 6)), (1, (7, 8, 9))], 0)]:
+            assert build_instance(flows, TWO_UAVS, cache=cache).instance.n == kept
+        assert stored_routes(cache) == {(5, 1, 6)}
 
     @pytest.mark.parametrize(
         "flows,uavs,message",
         [
-            ([(0, (5, 1, 6)), (0, (7, 1, 8))], [(1, 10.0)], "duplicate flow id 0"),
-            ([(0, (5, 1, 6)), (1, (7, 1, 7))], [(1, 10.0)], "flow 1: route must contain at least two distinct nodes"),
-            ([(0, (5, 1, 6)), (1, (7, 1, 8))], [(1, -1.0)], "UAV 0: hover_power must be non-negative"),
+            ([(0, (7, 1, 2, 8)), (0, (5, 5))], [(1, -1.0), (2, 20.0)], "UAV 0: hover_power must be non-negative"),
+            ([(0, (5, 1, 6)), (1, (7, 1, 2, 8)), (1, (5, 5))], TWO_UAVS, "flow 1 needs a positive handover time"),
+            ([(0, (5, 1, 6)), (0, (7, 1, 2, 8)), (2, (5, 5))], TWO_UAVS, "duplicate flow id 0"),
+            ([(0, (5, 1, 6)), (1, (5, 5)), (1, (7, 1, 2, 8))], TWO_UAVS, "flow 1: route must contain"),
+            ([(0, (5, 6)), (7, (1, 5)), (8, (7, 1, 2, 8))], TWO_UAVS, "flow 7: route endpoints 1/5"),
+            ([(0, (5, 6)), (7, (7, 1, 2, 8)), (7, (5, 5))], TWO_UAVS, "flow 0 needs a positive handover time"),
         ],
-        ids=["duplicate-id", "repeated-node", "negative-power"],
+        ids=["power", "type-before-a-later-id", "id-before-a-later-type", "route-before-a-later-type",
+             "endpoint-before-a-later-type", "type-at-its-kept-index"],
     )
-    def test_each_flow_and_the_powers_are_refused_before_a_new_flow_type(self, flows, uavs, message):
-        # the order of the uncached checks: every flow's id and route, then
-        # the powers, then the flows; (5, 1, 6)'s handover time is inf
-        timings = RuleTimings(1e308, 1e308, 1e308)
-        for cache in (None, {}, {}):
+    def test_the_first_fault_in_replacement_instance_order_is_named(self, flows, uavs, message):
+        # the powers, then flow by flow its id, its route and its new type,
+        # named at the flow's kept index; (7, 1, 2, 8)'s handover time is inf
+        shared = {}
+        for cache in (None, shared, shared):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-                build_instance(flows, uavs, timings, cache=cache)
+                build_instance(flows, uavs, HUGE_TIMINGS, cache=cache)
 
 
 class TestInstanceInvariants:
