@@ -5,14 +5,17 @@ the same flags reproduces the same files (measured wall times excepted).
 Human-readable messages go to stderr, machine output to files only.
 
 Exit codes: 0 success, 2 invalid input or parameters (ValueError), 3 I/O
-failure, 4 size cap exceeded (a solver's or the LP export's), 130 interrupted.
+failure, 4 size cap exceeded (a solver's or the LP export's), 130 interrupted
+(Ctrl-C, or SIGTERM during an experiment).
 """
 
 import argparse
 from functools import cache
 import json
-import sys
 from pathlib import Path
+import signal
+import sys
+import threading
 
 from . import experiment as exp
 from . import model, netgen, ordering, sched
@@ -102,6 +105,10 @@ def cmd_export_ilp(args) -> int:
     return 0
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def cmd_experiment(args) -> int:
     config = exp.config_from_json(_load_json(args.config))
     csv_path = args.csv or config.csv_path
@@ -110,6 +117,11 @@ def cmd_experiment(args) -> int:
     svg_energy = args.svg_energy or config.svg_energy_path
     svg_runtime = args.svg_runtime or config.svg_runtime_path
     completed = []
+    # SIGTERM flushes the completed cells as Ctrl-C does; a handler can only
+    # be installed from the main thread
+    in_main = threading.current_thread() is threading.main_thread()
+    if in_main:
+        previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         result = exp.run_experiment(config, progress=completed.append)
     except KeyboardInterrupt:
@@ -119,6 +131,10 @@ def cmd_experiment(args) -> int:
             pass
         print(f"interrupted; {len(completed)} completed cells flushed as incomplete", file=sys.stderr)
         return 130
+    finally:
+        if in_main:
+            # None: the handler was not installed from Python, so restore the default
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
     if not result.cells:
         return _fail(f"no cell completed: none had 2 iterations within exact_cap = {config.exact_cap}", 2)
     write_text(csv_path, exp.csv_text(result.cells), "CSV")

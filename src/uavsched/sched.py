@@ -6,7 +6,8 @@ crosses (a UAV no flow crosses costs P * 0.0), so an instance fits when
 min(n, crossed UAVs) <= cap.  Over flow sets: because handover times add
 up the same way in any order, the elapsed time after a set of flows is
 order-free, and a retiring UAV's cost is charged at the step that completes
-the last of its flows; the states are scored a block of 2^(n/2) at a time.
+the last of its flows; the states are scored a block of 2^ceil(n/2) at a
+time.
 Over UAV sets: once the UAVs finish in a fixed order, handing each UAV's
 remaining flows over as one block just before it finishes is optimal.  A
 brute-force permutation enumerator serves as an independent oracle at
@@ -147,8 +148,31 @@ def _gain_rules(instance: ReplacementInstance) -> list[tuple]:
     return rules
 
 
-# a DP keeps at most this many gain lists of 2^(n/2) floats (16 MB at n = 22)
+# a DP keeps at most this many general rules' gain lists of 2^ceil(n/2)
+# floats (16 MB at n = 22), besides one list per fixed rule; a general
+# rule's per-block memo points only at lists kept here, so the bound covers
+# it too
 _GAIN_LISTS_KEPT = 256
+
+
+def _spread(value: float, need: int, low_bits: int) -> list[float]:
+    """``value`` at each lo < 2^low_bits that holds every bit of ``need``, 0.0 at the others."""
+    # doubling per low bit k: the upper half of each step has bit k set
+    found = [value]
+    for k in range(low_bits):
+        found = [0.0] * len(found) + found if need >> k & 1 else found + found
+    return found
+
+
+def _general_gains(entries: list[tuple[float, int]], low_bits: int) -> list[float] | None:
+    """Each lo's sum, from 0.0 in entry order, of the powers of a general
+    rule's met (power, low need) entries whose need lo holds; None when
+    every sum is 0.0.  Adding 0.0 where lo misses a need leaves the sum of
+    non-negative powers as it is."""
+    sums = [0.0] * (1 << low_bits)
+    for power, need in entries:
+        sums = list(map(add, sums, _spread(power, need, low_bits)))
+    return sums if any(sums) else None
 
 
 def _blocks(rules: list[tuple], low_bits: int):
@@ -159,61 +183,68 @@ def _blocks(rules: list[tuple], low_bits: int):
     ``base`` with its gain list, and ``rows[f]`` is low flow f's gain list;
     ``table[lo]``, the same in every block, holds the low flows clear in
     ``lo`` as the successors ``lo | bit`` where they gain 0.0 in every
-    block and as (``lo | bit``, f) pairs where they may gain.
+    block and as (``lo | bit``, f) pairs where they may gain.  A gain list
+    holds the float the rule gives at each state of the block, and is None
+    when all are 0.0.  A fixed rule's list is worked out once per call and
+    counts in the blocks whose high bits hold its high requirements; a
+    general rule's is picked from a memo keyed by the high bits of ``base``
+    its entries name.
     """
     width = 1 << low_bits
+    high_mask = ~(width - 1)
     kept = {}
+    lists = [None] * len(rules)  # each flow's gain list in the current block
+    fixed = []  # (f, high requirements, list) of each fixed rule that may gain and names a high flow
+    general = []  # (f, high bits named, each entry's high need, memo) of each general rule
+    for f, (_, required, gain) in enumerate(rules):
+        if required == GENERAL:
+            needs = tuple(need & high_mask for _, need in gain)
+            names = 0
+            for need in needs:
+                names |= need
+            general.append((f, names, needs, {}))
+        elif gain:
+            found = lists[f] = _spread(gain, required, low_bits)
+            if required & high_mask:
+                fixed.append((f, required & high_mask, found))
 
-    def gains(f, met):
-        # f's gain at each state of a block whose high bits meet ``met`` (a
-        # bool for a fixed rule, one per entry for a general one); None when
-        # all are 0.0.  Each is the float the rule gives at that state
+    def look_up(f, needs, memo, key):
+        # f's list in the blocks whose high bits, of those f's entries name,
+        # are ``key``; the memo holds it only while ``kept`` does
+        met = tuple([key & need == need for need in needs])
         found = kept.get((f, met), kept)
-        if found is not kept:
-            return found
-        _, required, gain = rules[f]
-        found = None
-        if required != GENERAL:
-            if met and gain:
-                # doubling per low bit k: the upper half of each step has bit k set
-                found = [gain]
-                for k in range(low_bits):
-                    found = [0.0] * len(found) + found if required >> k & 1 else found + found
-        else:
-            entries = [(power, need & (width - 1)) for (power, need), ok in zip(gain, met) if ok]
-            sums = []
-            for lo in range(width):
-                total = 0.0
-                for power, need in entries:
-                    if lo & need == need:
-                        total += power
-                sums.append(total)
-            if any(sums):
-                found = sums
-        if len(kept) < _GAIN_LISTS_KEPT:
+        if found is kept:
+            found = _general_gains([entry for entry, ok in zip(rules[f][2], met) if ok], low_bits)
+            if len(kept) >= _GAIN_LISTS_KEPT:
+                return found
             kept[f, met] = found
+        memo[key] = found
         return found
 
     # a low flow may gain at lo in some block if it gains there with all its requirements met
-    most = [
-        gains(f, tuple(True for _ in gain) if required == GENERAL else True)
-        for f, (_, required, gain) in enumerate(rules[:low_bits])
-    ]
-    table = [
-        (
-            [lo | 1 << f for f, gs in enumerate(most) if not lo >> f & 1 and not (gs and gs[lo])],
-            [(lo | 1 << f, f) for f, gs in enumerate(most) if not lo >> f & 1 and gs and gs[lo]],
-        )
-        for lo in range(width)
-    ]
+    most = lists[:low_bits]
+    for f, names, needs, memo in general:
+        if f < low_bits:
+            most[f] = look_up(f, needs, memo, names)
+    table = [([], []) for _ in range(width)]
+    for f, gains in enumerate(most):
+        bit = 1 << f
+        for lo, (plain, gaining) in enumerate(table):
+            if not lo & bit:
+                if gains and gains[lo]:
+                    gaining.append((lo | bit, f))
+                else:
+                    plain.append(lo | bit)
+    del most  # past the bound, its general lists must not outlive the table
     for base in range((1 << len(rules)) - width, -1, -width):
-        top = base | (width - 1)
-        met = [
-            tuple(top | need == top for _, need in gain) if required == GENERAL else top | required == top
-            for _, required, gain in rules
-        ]
-        high = [(1 << f, gains(f, met[f])) for f in range(low_bits, len(rules)) if not base >> f & 1]
-        yield base, high, table, [gains(f, met[f]) for f in range(low_bits)]
+        for f, need, found in fixed:
+            lists[f] = found if base & need == need else None
+        for f, names, needs, memo in general:
+            key = base & names
+            found = memo.get(key, memo)
+            lists[f] = look_up(f, needs, memo, key) if found is memo else found
+        high = [(1 << f, lists[f]) for f in range(low_bits, len(rules)) if not base >> f & 1]
+        yield base, high, table, lists[:low_bits]
 
 
 def _candidate(rule: tuple, state: int, elapsed: list[float], g: list[float]) -> float:
@@ -245,9 +276,11 @@ def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_
     brute-force tie rule so that equivalence checks cannot pass by tie luck.
 
     Each flow's gain is one of two kinds worked out once (``_gain_rules``:
-    fixed, general).  States are split into n//2 low bits and the rest, and
-    visited a block of 2^(n/2) states (one value of the high bits) at a
-    time, from the top down (``_blocks``).  Each high flow free in a block
+    fixed, general).  States are split into (n + 1)//2 low bits and the
+    rest, and visited a block of 2^((n + 1)//2) states (one value of the
+    high bits) at a time, from the top down (``_blocks``); an odd n puts
+    the larger half of the flows in the low bits, so it visits half as
+    many blocks, each twice as wide.  Each high flow free in a block
     is scored over the whole block in one pass over its successor block,
     its gain at each state read from a list that holds 0.0 where nothing
     completes.  The low flows are then scored state by state from one table
@@ -280,7 +313,7 @@ def exact_schedule_dp(instance: ReplacementInstance, max_flows: int = EXACT_CAP_
     if not elapsed[full] < inf:
         raise ValueError(f"the flows' handover times sum to {elapsed[full]} s, past the largest float")
 
-    low_bits = n // 2
+    low_bits = (n + 1) // 2
     width = 1 << low_bits
     low_mask = width - 1
     g = [0.0] * size

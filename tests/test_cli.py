@@ -6,9 +6,11 @@ import os
 from pathlib import Path
 import random
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -853,6 +855,60 @@ class TestExperimentAndPlot:
         svg = tmp_path / "partial.svg"
         assert main(["plot", "--csv", str(target), "--metric", "energy", "--out", str(svg)]) == 0
         assert svg.read_text().count("<circle") == 2
+
+    def test_sigterm_flushes_partial_cells_marked_incomplete(self, tmp_path):
+        # the child reports each completed cell on stdout and then waits, so
+        # the signal lands after the first of the config's two cells
+        child = (
+            "import sys, time\n"
+            "from uavsched import experiment\n"
+            "from uavsched.cli import main\n"
+            "real = experiment.run_experiment\n"
+            "def wait_after_each_cell(config, progress):\n"
+            "    def report(cell):\n"
+            "        progress(cell)\n"
+            "        print('cell', flush=True)\n"
+            "        time.sleep(60)\n"
+            "    return real(config, progress=report)\n"
+            "experiment.run_experiment = wait_after_each_cell\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(uavsched.__file__).resolve().parents[1])}
+        target = tmp_path / "partial.csv"
+        argv = ["experiment", "--config", write_json(tmp_path / "cfg.json", DESK_CONFIG), "--csv", str(target)]
+        with subprocess.Popen(
+            [sys.executable, "-c", child, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        ) as proc:
+            try:
+                assert proc.stdout.readline() == "cell\n"
+                proc.send_signal(signal.SIGTERM)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert proc.returncode == 130, err
+        assert err == "interrupted; 1 completed cells flushed as incomplete\n"
+        assert target.read_text().splitlines()[0] == "# incomplete"
+        assert [(cell.n_f, cell.m, cell.method) for cell in read_csv(target)] == [(8, 3, "heuristic")]
+
+    def test_an_experiment_restores_the_sigterm_handler_and_runs_off_the_main_thread(self, tmp_path, monkeypatch):
+        before = signal.getsignal(signal.SIGTERM)
+        cfg = write_json(tmp_path / "cfg.json", DESK_CONFIG)
+        assert main(["experiment", "--config", cfg, "--csv", str(tmp_path / "a.csv")]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(["experiment", "--config", cfg, "--csv", str(tmp_path / "b.csv")])))
+        worker.start()
+        worker.join()
+        assert codes == [0]
+        assert len(read_csv(tmp_path / "b.csv")) == len(read_csv(tmp_path / "a.csv")) > 0
+
+        def interrupted(config, progress=None):
+            assert signal.getsignal(signal.SIGTERM) is not before
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "run_experiment", interrupted)
+        assert main(["experiment", "--config", cfg, "--csv", str(tmp_path / "c.csv")]) == 130
+        assert signal.getsignal(signal.SIGTERM) is before
 
     def test_plot_keeps_rejecting_foreign_columns_after_the_marker(self, tmp_path):
         bad = tmp_path / "bad.csv"

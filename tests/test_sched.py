@@ -3,6 +3,7 @@
 import random
 import re
 import statistics
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -229,6 +230,15 @@ def gain_kinds(inst):
             for _, required, _ in sched._gain_rules(inst)}
 
 
+def every_high_flow_instance(rng: random.Random):
+    """Low flow j and high flow j + 6 pin UAV j alone, and flow 0 also
+    crosses every other UAV: each block meets a different set of rules."""
+    deltas = [{0, 1, 2, 3, 4, 5}] + [{j} for j in range(1, 6)] + [{j} for j in range(6)]
+    times = tuple(rng.uniform(0.005, 0.060) for _ in deltas)
+    powers = tuple(rng.uniform(20.0, 310.0) for _ in range(6))
+    return instance_from_parts(times, deltas, powers)
+
+
 class TestExactDpKernel:
     """exact_schedule_dp against the plain loop over every flow of every state (helpers.exact_dp_reference)."""
 
@@ -244,6 +254,11 @@ class TestExactDpKernel:
     @example(seed=1, n=1, m=3, dyadic=False, zero_powers=False)
     @example(seed=2, n=11, m=9, dyadic=False, zero_powers=True)
     @example(seed=3, n=12, m=5, dyadic=False, zero_powers=False)
+    # odd sizes past the strategy's, whose low half is the larger: general
+    # rules at n = 13, again with 5 of 6 powers zeroed, and every kind at 15
+    @example(seed=4, n=13, m=6, dyadic=False, zero_powers=False)
+    @example(seed=5, n=13, m=6, dyadic=False, zero_powers=True)
+    @example(seed=8, n=15, m=7, dyadic=False, zero_powers=False)
     def test_order_and_energy_equal_the_plain_loop(self, seed, n, m, dyadic, zero_powers):
         rng = random.Random(seed)
         inst = crossing_instance(rng, n, m, dyadic)
@@ -274,23 +289,49 @@ class TestExactDpKernel:
         inst = instance_from_parts((0.03125, 0.03125), ({0, 1, 2}, {3}), (0.1, 0.2, 0.3, 0.6))
         assert exact_schedule_dp(inst).schedule.order == (0, 1) == exact_dp_reference(inst)[0]
 
-    def test_gain_lists_past_the_kept_bound_are_worked_out_again(self, monkeypatch):
-        monkeypatch.setattr(sched, "_GAIN_LISTS_KEPT", 0)
+    @pytest.mark.parametrize("bound", [0, 3])
+    def test_gain_lists_past_the_kept_bound_are_worked_out_again(self, monkeypatch, bound):
+        # with bound 3, the lists kept fill up partway through a call
+        monkeypatch.setattr(sched, "_GAIN_LISTS_KEPT", bound)
         for seed in range(20):
             rng = random.Random(seed)
             inst = crossing_instance(rng, rng.randint(1, 11), rng.randint(1, 9), dyadic=False)
             result = exact_schedule_dp(inst)
             assert (result.schedule.order, result.energy) == exact_dp_reference(inst)
 
+        # flow 0, the one general rule, has a list of its own in each of the
+        # 64 blocks; a block sees those kept and those of itself and the
+        # block before it (still bound in the DP's loop), so no more may live
+        class Tracked(list):
+            pass
+
+        built, alive_per_block = [], []
+        general_gains, blocks = sched._general_gains, sched._blocks
+
+        def tracked(entries, low_bits):
+            found = general_gains(entries, low_bits)
+            if found is not None:
+                found = Tracked(found)
+                built.append(weakref.ref(found))
+            return found
+
+        def counted(rules, low_bits):
+            for block in blocks(rules, low_bits):
+                alive_per_block.append(sum(ref() is not None for ref in built))
+                yield block
+
+        monkeypatch.setattr(sched, "_general_gains", tracked)
+        monkeypatch.setattr(sched, "_blocks", counted)
+        inst = every_high_flow_instance(random.Random(0))
+        assert gain_kinds(inst) == {"single", "general"} and inst.n == 12
+        result = exact_schedule_dp(inst)
+        assert (result.schedule.order, result.energy) == exact_dp_reference(inst)
+        assert len(built) > 60 and len(alive_per_block) == 64
+        assert max(alive_per_block) <= bound + 2
+
     def test_a_gain_that_depends_on_every_high_flow_against_the_plain_loop(self):
-        # low flow j and high flow j + 6 pin UAV j alone, and flow 0 also
-        # crosses every other UAV: each block meets a different set of rules
-        deltas = [{0, 1, 2, 3, 4, 5}] + [{j} for j in range(1, 6)] + [{j} for j in range(6)]
         for seed in range(5):
-            rng = random.Random(seed)
-            times = tuple(rng.uniform(0.005, 0.060) for _ in deltas)
-            powers = tuple(rng.uniform(20.0, 310.0) for _ in range(6))
-            inst = instance_from_parts(times, deltas, powers)
+            inst = every_high_flow_instance(random.Random(seed))
             result = exact_schedule_dp(inst)
             assert (result.schedule.order, result.energy) == exact_dp_reference(inst)
 
@@ -328,19 +369,22 @@ def netgen_instance(flows: int, seed: int):
 
 class TestExactDpPinned:
     @pytest.mark.parametrize(
-        "seed,order",
+        "seed,order,energy",
         [
-            (18, (7, 10, 4, 13, 12, 11, 9, 8, 6, 5, 3, 2, 1, 0)),
-            (99, (13, 8, 3, 11, 0, 4, 2, 9, 7, 5, 1, 14, 12, 10, 6)),
-            (8, (15, 4, 14, 12, 10, 9, 8, 13, 11, 7, 2, 0, 6, 5, 3, 1)),
+            (18, (7, 10, 4, 13, 12, 11, 9, 8, 6, 5, 3, 2, 1, 0), "0x1.bd14a0afcb1f9p+6"),
+            (99, (13, 8, 3, 11, 0, 4, 2, 9, 7, 5, 1, 14, 12, 10, 6), "0x1.18e4ffe28ab50p+8"),
+            (8, (15, 4, 14, 12, 10, 9, 8, 13, 11, 7, 2, 0, 6, 5, 3, 1), "0x1.0120ea0dbe81bp+8"),
         ],
         ids=["n14", "n15", "n16"],
     )
-    def test_netgen_orders_recorded_on_the_plain_loop(self, seed, order):
-        # 40 sampled flows over 6 retiring UAVs of the default network (seed 1)
+    def test_netgen_orders_recorded_on_the_plain_loop(self, seed, order, energy):
+        # 40 sampled flows over 6 retiring UAVs of the default network (seed
+        # 1); the energies were recorded on the DP that put n//2 flows in the
+        # low bits, so n15, an odd n, pins the larger low half bit for bit
         inst = netgen_instance(40, seed)
         assert (inst.n, inst.m) == (len(order), 6)
-        assert exact_schedule_dp(inst).schedule.order == order
+        result = exact_schedule_dp(inst)
+        assert (result.schedule.order, result.energy.hex()) == (order, energy)
 
 
 class TestExactSchedule:
